@@ -4,8 +4,9 @@ For a square-free monomial ideal with generator exponents v_1..v_q in N^n,
 the Rees cone is generated by the unit vectors e_1..e_n together with the
 lifted generators (v_i, 1) in R^{n+1}.  The Rees algebra is normal exactly
 when that lift set generates every lattice point of its cone, which this
-module decides by computing the Hilbert basis of the cone and certifying
-each basis element as a non-negative integer combination of the lift set.
+module decides by computing the Hilbert basis of the cone and testing that
+it is contained in the lift set: a basis element is irreducible, so it is a
+non-negative integer combination of the lift set only when it is a lift.
 
 The Simis cone of an ideal is cut out by the coordinate halfspaces together
 with one halfspace per minimal vertex cover u of the associated clutter:
@@ -104,24 +105,31 @@ def is_rees_normal(ideal, dim_cap=HILBERT_DIM_CAP):
     """Normality of the Rees algebra of a monomial ideal.
 
     Decided by the Hilbert-basis criterion: the algebra is normal iff the
-    lift set generates every lattice point of the Rees cone, i.e. iff every
-    Hilbert basis element has a semigroup membership certificate over the
-    lift set.  The witness of a false verdict is a lattice point of the cone
-    that no non-negative integer combination of the lift set reaches.
+    lift set generates every lattice point of the Rees cone, i.e. iff the
+    Hilbert basis is contained in the lift set.  A basis element is
+    irreducible, so it is a non-negative integer combination of the lift
+    set exactly when it is itself a lift; its certificate is the unit
+    coefficient vector at its first lift-set index.  The witness of a false
+    verdict is the first basis element outside the lift set, a lattice
+    point of the cone that no combination reaches; its budget is the entry
+    sum, the all-ones degree that bounds any combination.
     """
     model = rees_cone(ideal)
     hb = hilbert_basis(model.cone, dim_cap=dim_cap)
-    grading = tuple([1] * model.cone.dim)
+    first_index = {}
+    for i, g in enumerate(model.lift_set):
+        first_index.setdefault(g, i)
     certificates = []
     for element in hb.elements:
-        cert = semigroup_member(element, model.lift_set, grading=grading)
-        if not cert.member:
+        i = first_index.get(element)
+        if i is None:
             return CheckReport(
                 name="rees-normal", verdict=False, method=THEOREM_PATH,
                 witness={"hilbert_basis_element": element},
-                search_bounds={"hb_dim_cap": dim_cap, "budget": cert.budget})
+                search_bounds={"hb_dim_cap": dim_cap, "budget": sum(element)})
+        coefficients = tuple(int(j == i) for j in range(len(model.lift_set)))
         certificates.append({"element": element,
-                             "coefficients": cert.coefficients})
+                             "coefficients": coefficients})
     return CheckReport(
         name="rees-normal", verdict=True, method=THEOREM_PATH,
         certificate={"hilbert_basis_size": len(hb.elements),
@@ -248,12 +256,19 @@ def gorenstein_check(G, scan_bound=None, dim_cap=HILBERT_DIM_CAP):
     interior lattice points of the Rees cone; it is principal on x_1..x_n t
     iff every interior lattice point reduces by (1,..,1,1) into the cone.
     The all-ones interior membership is exact; the reduction property is
-    scanned over the recorded box 1 <= a_i <= A, 1 <= b <= B.
+    scanned over the recorded box 1 <= a_i <= B, 2 <= b <= B.  A bound B
+    below 2 raises InputError: that box is empty, and an empty scan proves
+    nothing.  Any B >= 2 scans (2,..,2,2), which is interior because the
+    all-ones point is.
     """
     if G.isolated_vertices():
         raise InputError("cover-side operations need a graph without isolated vertices")
     n = G.n
     bound = n if scan_bound is None else int(scan_bound)
+    if bound < 2:
+        raise InputError(
+            f"scan bound {bound} scans nothing: the interior scan starts "
+            "at t-degree 2")
     clutter = edge_clutter(G)
     if not is_unmixed(clutter):
         covers = minimal_vertex_covers(clutter)

@@ -15,7 +15,7 @@ from .clutters import (IncidenceMatrix, all_cliques, chordless_cycles,
                        minimal_vertex_covers)
 from .cones import (HILBERT_DIM_CAP, HRepPolyhedron, IntegerCone,
                     Halfspace, hilbert_basis, is_integral, make_halfspace,
-                    semigroup_member, vertices)
+                    vertices)
 from .errors import CapExceededError, InputError
 from .lp import GE, INFEASIBLE, OPTIMAL, make_lp, solve, solve_ilp_bounded
 from .report import ORACLE, THEOREM_PATH, CheckReport
@@ -86,8 +86,11 @@ def perfect_matrix_check(A):
 def tdi_check(A, dim_cap=HILBERT_DIM_CAP):
     """Total dual integrality of x >= 0, xA <= 1 by the two-condition test:
     (i) the polytope is integral, and (ii) the lattice points of the cone on
-    the lifted columns (v_i, 1) and the negated units are generated by them,
-    checked through a Hilbert basis with membership certificates.
+    the lifted columns (v_i, 1) and the negated units are generated by them.
+    Condition (ii) holds exactly when the Hilbert basis of that cone is
+    contained in the generator list, since an irreducible basis element is
+    a combination of the generators only when it is one; the first basis
+    element outside the list is the witness of failure.
 
     For matrices with negative entries the two conditions remain sufficient
     but the converse is not claimed: a failed condition yields verdict None.
@@ -101,12 +104,9 @@ def tdi_check(A, dim_cap=HILBERT_DIM_CAP):
     if not cone.is_pointed():
         raise AssertionError("lifted column cone is unexpectedly not pointed")
     hb = hilbert_basis(cone, dim_cap=dim_cap)
-    lattice_witness = None
-    for element in hb.elements:
-        cert = semigroup_member(element, lifted)
-        if not cert.member:
-            lattice_witness = element
-            break
+    generators = set(lifted)
+    lattice_witness = next(
+        (e for e in hb.elements if e not in generators), None)
     both = bool(integral.verdict) and lattice_witness is None
     if nonneg_entries:
         verdict = both

@@ -286,7 +286,8 @@ def _build_parser():
     parser.add_argument("--alpha-box", type=int, default=None,
                         help="symmetric objective box for tdi-oracle")
     parser.add_argument("--scan-bound", type=int, default=None,
-                        help="t-degree bound of the Gorenstein interior scan")
+                        help="t-degree bound of the Gorenstein interior "
+                             "scan, at least 2")
     parser.add_argument("--labels", default=None,
                         help="file with one label per vertex, for rendering")
     parser.add_argument("--cone", choices=["rees", "simis"], default="simis",
@@ -392,7 +393,7 @@ def main(argv=None):
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

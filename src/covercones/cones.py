@@ -8,12 +8,17 @@ constraints by increasing number of zero entries (a mild anti-blowup
 heuristic) and the final output is canonically sorted, so it never depends
 on that order.
 
-Hilbert bases are computed the classical way: triangulate the cone from its
-extreme rays, collect the lattice points of each simplicial piece's
-half-open fundamental parallelepiped (these generate the semigroup of all
-lattice points), then discard every element that splits as a sum of two
-non-zero lattice points of the cone.  The result is the unique minimal
-generating set, independent of the triangulation.
+Hilbert bases are computed the classical way: triangulate the cone (a
+pulling triangulation read off the cone's own ray/facet incidences, so no
+face runs a double description), collect the lattice points of each
+simplicial piece's half-open fundamental parallelepiped (these generate the
+semigroup of all lattice points), then discard every element that splits
+as a sum of two non-zero lattice points of the cone.  The result is the
+unique minimal generating set, independent of the triangulation.
+
+semigroup_member, a graded exhaustive search, is an oracle: the theorem
+paths test Hilbert-basis inclusion instead, because an irreducible lattice
+point is generated exactly when it is one of the generators.
 
 Why exact arithmetic everywhere: each decision downstream is an exact
 equality of polyhedra, so a single rounding error would flip verdicts.
@@ -342,23 +347,48 @@ def extreme_rays_of_halfspaces_or_lineality(dim, halfspaces):
 # ---------------------------------------------------------------------------
 # triangulation and Hilbert bases
 
-def _triangulate(rays, dim):
-    """Deterministic stellar triangulation of a pointed cone: cone the first
-    ray (in canonical order) over the triangulated facets it does not lie
-    on.  Every simplicial piece is a tuple of linearly independent rays."""
+def _triangulate(rays, facets):
+    """Pulling triangulation of a pointed cone from its own face lattice.
+
+    A face is a bitmask over the sorted extreme rays; the cone's facets give
+    one incidence mask each.  The facets of a face S are the inclusion-
+    maximal sets S & F over the cone facets F that do not contain S, and a
+    face is simplicial when its ray count equals its dimension, which starts
+    at the rank of the rays and drops by one per level.  A non-simplicial
+    face joins its lowest ray (the apex) to the pieces of its facets that
+    miss the apex.  Every face pulls from its own lowest ray, so the pieces
+    of a shared face agree, and each face is triangulated once.  Every
+    simplicial piece is a tuple of linearly independent rays.
+    """
     rays = sorted(rays)
-    rk = rank_int(rays)
-    if len(rays) == rk:
-        return [tuple(rays)]
-    v0 = rays[0]
-    pieces = []
-    for h in facets_of_generators(dim, rays):
-        tight = [r for r in rays if dot(h.normal, r) == 0]
-        if len(tight) == len(rays) or dot(h.normal, v0) == 0:
-            continue  # span equation, or a facet through the apex ray
-        for simplex in _triangulate(tight, dim):
-            pieces.append(simplex + (v0,))
-    return pieces
+    incidences = {sum(1 << i for i, r in enumerate(rays)
+                      if dot(h.normal, r) == 0) for h in facets}
+    memo = {}
+
+    def pieces(face, dim):
+        if face in memo:
+            return memo[face]
+        members = [rays[i] for i in range(len(rays)) if face >> i & 1]
+        if len(members) == dim:
+            out = [tuple(members)]
+        else:
+            apex = face & -face
+            # largest first, so a set is maximal unless a kept one covers it
+            below = sorted({face & m for m in incidences if face & m != face},
+                           key=lambda sub: -sub.bit_count())
+            out = []
+            maximal = []
+            for sub in below:
+                if any(sub & big == sub for big in maximal):
+                    continue
+                maximal.append(sub)
+                if not sub & apex:
+                    out.extend(simplex + (members[0],)
+                               for simplex in pieces(sub, dim - 1))
+        memo[face] = out
+        return out
+
+    return pieces((1 << len(rays)) - 1, rank_int(rays))
 
 
 def _parallelepiped_points(simplex, dim):
@@ -420,10 +450,10 @@ def hilbert_basis(cone, dim_cap=HILBERT_DIM_CAP):
     rays = cone.extreme_rays()
     if not rays:
         return HilbertBasis(elements=(), cone=cone)
-    candidates = set(rays)
-    for simplex in _triangulate(rays, cone.dim):
-        candidates.update(_parallelepiped_points(simplex, cone.dim))
     facets = cone.facets
+    candidates = set(rays)
+    for simplex in _triangulate(rays, facets):
+        candidates.update(_parallelepiped_points(simplex, cone.dim))
     members = sorted(candidates)
 
     def in_cone(v):

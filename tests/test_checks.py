@@ -1,16 +1,19 @@
 import pytest
 
-from covercones import (Clutter, InputError, balanced_check, balanced_oracle,
-                        clique_halfspaces, cm_height_two_normal, complement,
-                        dual_balanced_normal, edge_clutter, incidence_matrix,
-                        is_perfect_definitional, mfmc_check,
-                        perfect_matrix_check, perfect_via_rees_cone,
+from covercones import (Clutter, InputError, IntegerCone, balanced_check,
+                        balanced_oracle, clique_halfspaces,
+                        cm_height_two_normal, complement, cover_ideal,
+                        dual_balanced_normal, edge_clutter, hilbert_basis,
+                        incidence_matrix, is_perfect_definitional,
+                        is_rees_normal, mfmc_check, perfect_matrix_check,
+                        perfect_via_rees_cone, rees_cone, semigroup_member,
                         tdi_check, tdi_oracle, vertex_clique_matrix)
+from covercones.checks import _columns_of
 from covercones.errors import CapExceededError
 from covercones.lp import GE, OPTIMAL, make_lp, solve, solve_ilp_bounded
 
 from corpus import (all_graphs_up_to_iso, complete_graph, cycle_graph,
-                    no_isolated, path_graph, with_edges)
+                    no_isolated, path_graph, small_graph_corpus, with_edges)
 
 
 def test_cone_perfection_fixtures():
@@ -170,3 +173,73 @@ def test_dual_balanced_fixtures():
     assert r.verdict is None and "not balanced" in r.reason
     with pytest.raises(InputError):
         dual_balanced_normal([(1, 1)])
+
+
+def _search_oracle(elements, generators, grading=None):
+    """semigroup_member on each Hilbert-basis element up to the first
+    refusal: (certificates, refused element or None, its answer)."""
+    certificates = []
+    for element in elements:
+        answer = semigroup_member(element, generators, grading=grading)
+        if not answer.member:
+            return certificates, element, answer
+        certificates.append({"element": element,
+                             "coefficients": answer.coefficients})
+    return certificates, None, None
+
+
+def test_basis_inclusion_matches_the_membership_search():
+    # normality and TDI are decided by Hilbert basis inclusion; the graded
+    # membership search must give the same verdicts, certificates and
+    # witnesses element by element
+    ideals = [cover_ideal(edge_clutter(G)) for G in small_graph_corpus()]
+    ideals += [
+        [(2, 0), (0, 2)],                                  # non-normal
+        [(1, 1, 1, 0, 0, 0), (1, 0, 0, 1, 1, 0),           # triangle clutter
+         (0, 1, 0, 1, 0, 1), (0, 0, 1, 0, 1, 1)],
+        [(1, 1, 0), (1, 0, 0), (0, 1, 1)],                 # non-minimal
+        [(1, 1, 0), (0, 1, 1), (1, 1, 0)],                 # repeated
+        [(2, 0), (0, 2), (2, 0)],                          # both
+        [(2, 0), (0, 2), (2, 0), (1, 0)],
+    ]
+    refused = 0
+    for ideal in ideals:
+        model = rees_cone(ideal)
+        hb = hilbert_basis(model.cone)
+        grading = (1,) * model.cone.dim
+        certs, miss, answer = _search_oracle(hb.elements, model.lift_set,
+                                             grading)
+        report = is_rees_normal(ideal)
+        if miss is None:
+            assert report.verdict is True, ideal
+            assert report.certificate == {
+                "hilbert_basis_size": len(hb.elements),
+                "memberships": certs}, ideal
+        else:
+            refused += 1
+            assert report.verdict is False, ideal
+            assert report.witness == {"hilbert_basis_element": miss}
+            assert report.search_bounds["budget"] == answer.budget
+    assert refused == 3
+
+    matrices = [incidence_matrix(edge_clutter(G))
+                for G in small_graph_corpus() if G.n <= 4]
+    matrices += [incidence_matrix(edge_clutter(cycle_graph(5))),
+                 vertex_clique_matrix(cycle_graph(4)),
+                 [(2,)], [(1, 0), (-1, 1)], [(2, 1), (1, 2)],
+                 [(2, 0), (0, 2)], [(0, 2, 0), (2, 0, 1)]]
+    ungenerated = 0
+    for A in matrices:
+        n, cols = _columns_of(A)
+        lifted = [col + (1,) for col in cols]
+        lifted += [tuple(-int(i == j) for j in range(n)) + (0,)
+                   for i in range(n)]
+        hb = hilbert_basis(IntegerCone.from_generators(n + 1, lifted))
+        _, miss, _ = _search_oracle(hb.elements, lifted)
+        report = tdi_check(A)
+        if report.verdict is False:
+            assert report.witness["ungenerated_lattice_point"] == miss, cols
+        elif report.verdict is True:
+            assert miss is None, cols
+        ungenerated += miss is not None
+    assert ungenerated == 2

@@ -120,6 +120,24 @@ def test_exit_codes_for_errors(write, capsys):
     capsys.readouterr()
 
 
+def test_undecodable_input_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["covers", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_gorenstein_scan_bound_below_two_is_rejected(write, capsys):
+    path = write("c5.graph", PENTAGON)
+    for bound in ("0", "1"):
+        assert main(["check-gorenstein", path, "--scan-bound", bound]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    code, report = run_json(capsys, ["check-gorenstein", path])
+    assert code == 0 and report["primary_verdict"] is False
+
+
 def test_hilbert_basis_command_monomials(write, capsys):
     path = write("k2.graph", "graph { a-b }\n")
     code, report = run_json(capsys, ["hilbert-basis", path, "--cone", "simis"])

@@ -101,6 +101,53 @@ def test_hilbert_basis_against_lattice_scan():
         assert got == expected
 
 
+def _grading_volume(pieces):
+    """Sum of |det S| / prod <1, s> over full-dimensional simplices: the
+    volume of the cone's slice at total degree one, whatever the
+    triangulation."""
+    from covercones.linalg import diagonalize_with_uinv
+    total = Fraction(0)
+    for S in pieces:
+        diag, _ = diagonalize_with_uinv([[s[i] for s in S]
+                                         for i in range(len(S))])
+        det = 1
+        for x in diag:
+            det *= abs(x)
+        degrees = 1
+        for s in S:
+            degrees *= sum(s)
+        total += Fraction(det, degrees)
+    return total
+
+
+def test_triangulation_of_cycle_cones():
+    from covercones import rees_cone, simis_cone
+    from covercones.cones import _triangulate
+    from covercones.linalg import rank_int
+    expected = {5: (16, 11), 7: (40, 29), 9: (95, 80)}
+    for k, counts in expected.items():
+        G = cycle_graph(k)
+        edge_ideal = [tuple(int(v in e) for v in range(1, k + 1))
+                      for e in G.edges]
+        cones = (simis_cone(edge_ideal).cone,
+                 rees_cone(cover_ideal(edge_clutter(G))).cone)
+        for cone, count in zip(cones, counts):
+            rays = cone.extreme_rays()
+            pieces = _triangulate(rays, cone.facets)
+            assert len(pieces) == count, (k, cone)
+            for S in pieces:
+                assert len(S) == cone.dim == rank_int(S)
+                assert set(S) <= set(rays)
+            # the reversed copy pulls from another apex, so its
+            # triangulation differs but covers the same volume
+            flipped = IntegerCone.from_generators(
+                cone.dim, [r[::-1] for r in rays])
+            others = _triangulate(flipped.extreme_rays(), flipped.facets)
+            assert {frozenset(S) for S in pieces} != \
+                {frozenset(s[::-1] for s in S) for S in others}
+            assert _grading_volume(pieces) == _grading_volume(others)
+
+
 def test_parallelepiped_points_match_box_scan():
     from itertools import product
     from covercones.cones import _parallelepiped_points
