@@ -4,7 +4,8 @@ One command per invocation; input files hold a graph, clutter, matrix or
 ideal (see textio).  Output is a pretty text report by default or a
 versioned machine-readable document with --json.  Exit codes: 0 the command
 completed (whatever the verdict), 1 the verdict differed from --assert,
-2 malformed input, 3 a size cap was exceeded.
+2 malformed input, 3 a size cap was exceeded, 4 an internal self-check
+failed (a theorem path disagreed with its oracle or its own invariant).
 """
 
 import argparse
@@ -396,6 +397,9 @@ def main(argv=None):
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal consistency failure: {exc}", file=sys.stderr)
+        return 4
     if args.json:
         json.dump(report, sys.stdout, sort_keys=True, indent=2)
         print()

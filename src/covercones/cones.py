@@ -6,7 +6,9 @@ facet normals.  Conversions between the two descriptions run the double
 description method in exact integer arithmetic; the insertion order sorts
 constraints by increasing number of zero entries (a mild anti-blowup
 heuristic) and the final output is canonically sorted, so it never depends
-on that order.
+on that order.  It is the one polyhedral engine: the vertices of an affine
+polyhedron are the rays of its homogenization, and the lattice points of a
+dilated polytope are tested against the facets of the cone over it.
 
 Hilbert bases are computed the classical way: triangulate the cone (a
 pulling triangulation read off the cone's own ray/facet incidences, so no
@@ -28,7 +30,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd
+from math import floor, gcd
 
 from . import lp
 from .errors import CapExceededError, InfeasibleError, InputError, \
@@ -262,18 +264,15 @@ class IntegerCone:
 
     @property
     def facets(self):
-        """Irredundant primitive facet list (canonically sorted)."""
-        with self._lock:
-            if self._facets is None or not self._irredundant:
-                if self._generators is not None:
-                    self._facets = tuple(
-                        facets_of_generators(self.dim, self._generators))
-                else:
-                    rays = extreme_rays_of_halfspaces_or_lineality(
-                        self.dim, self._facets)
-                    if rays:
+        """Irredundant primitive facet list (canonically sorted).  An
+        H-described cone gets it from its own generators."""
+        if self._facets is None or not self._irredundant:
+            gens = self.generators      # before the lock, which it takes too
+            with self._lock:
+                if self._facets is None or not self._irredundant:
+                    if gens or self._given_halfspaces is None:
                         self._facets = tuple(
-                            facets_of_generators(self.dim, rays))
+                            facets_of_generators(self.dim, gens))
                     else:
                         # the zero cone: cut out by opposite coordinate pairs
                         units = [tuple(int(i == j) for j in range(self.dim))
@@ -281,35 +280,37 @@ class IntegerCone:
                         self._facets = tuple(sorted(
                             make_halfspace(s) for u in units
                             for s in (u, tuple(-x for x in u))))
-                self._irredundant = True
-            return self._facets
+                    self._irredundant = True
+        return self._facets
 
     @property
     def generators(self):
         with self._lock:
             if self._generators is None:
-                rays, lineality = _dd_pair(
-                    self.dim, [h.normal for h in self._given_halfspaces])
-                gens = [vec for vec, _ in rays]
-                for l in lineality:
-                    gens.append(tuple(l))
-                    gens.append(tuple(-x for x in l))
-                self._generators = tuple(sorted(gens))
+                self._generators = tuple(sorted(
+                    extreme_rays_of_halfspaces_or_lineality(
+                        self.dim, self._given_halfspaces)))
             return self._generators
 
     def extreme_rays(self):
-        """Primitive extreme rays; requires a pointed cone."""
+        """Primitive extreme rays; requires a pointed cone.
+
+        A primitive generator is extreme exactly when no other generator is
+        tight on a strict superset of its facets: a non-extreme generator
+        lies inside a face spanned by two or more extreme rays, each tight
+        on more facets than it, while only multiples of an extreme ray are
+        tight on all of its facets.
+        """
         if self._extreme is None:
             if not self.is_pointed():
                 raise NotPointedError("extreme rays require a pointed cone")
             facets = self.facets
-            seen = {}
-            for g in self.generators:
-                p = primitive(g)
-                tight = [h.normal for h in facets if dot(h.normal, p) == 0]
-                if rank_int(tight) == self.dim - 1:
-                    seen[p] = True
-            self._extreme = tuple(sorted(seen))
+            tight = {p: sum(1 << i for i, h in enumerate(facets)
+                            if dot(h.normal, p) == 0)
+                     for p in map(primitive, self.generators)}
+            self._extreme = tuple(sorted(
+                p for p, m in tight.items()
+                if not any(o != m and o & m == m for o in tight.values())))
         return self._extreme
 
     def is_pointed(self):
@@ -582,64 +583,20 @@ def polyhedron(dim, halfspaces):
     return HRepPolyhedron(dim=dim, halfspaces=hs)
 
 
-def polyhedron_feasible(P):
-    prog = lp.make_lp(
-        objective=[0] * P.dim,
-        rows=[list(h.normal) for h in P.halfspaces],
-        rhs=[h.rhs for h in P.halfspaces],
-        senses=[lp.GE] * len(P.halfspaces),
-        nonneg=[False] * P.dim)
-    return lp.feasible(prog)
-
-
 def vertices(P):
-    """All vertices, by enumerating basic solutions: every subset of
-    `dim` linearly independent tight constraints is solved exactly and kept
-    when feasible.  Prefix elimination states are shared across subsets.
-    Raises InfeasibleError on an empty polyhedron."""
-    if not polyhedron_feasible(P):
+    """All vertices, sorted, as tuples of Fractions: the rays with t > 0 of
+    the homogenized cone {(x, t) : <a, x> >= rhs * t, t >= 0}, scaled to
+    t = 1, by one double description.  Rays with t = 0 span the recession
+    cone.  A polyhedron containing a line has no vertices.  Raises
+    InfeasibleError on an empty polyhedron."""
+    normals = [tuple(h.normal) + (-h.rhs,) for h in P.halfspaces]
+    normals.append((0,) * P.dim + (1,))
+    rays, lineality = _dd_pair(P.dim + 1, normals)
+    points = sorted(tuple(Fraction(x, vec[-1]) for x in vec[:-1])
+                    for vec, _ in rays if vec[-1] > 0)
+    if not points:
         raise InfeasibleError("polyhedron is empty")
-    cons = [(h.normal, h.rhs) for h in P.halfspaces]
-    d = P.dim
-    found = set()
-
-    def feasible_point(x):
-        return all(sum(a * xi for a, xi in zip(n, x)) >= r for n, r in cons)
-
-    def back_substitute(rows):
-        # rows are (coeffs, rhs) in echelon order with recorded pivot columns
-        x = [Fraction(0)] * d
-        for coeffs, rhs, piv in reversed(rows):
-            s = rhs - sum(coeffs[j] * x[j] for j in range(piv + 1, d))
-            x[piv] = Fraction(s, coeffs[piv])
-        return tuple(x)
-
-    def reduce_row(normal, rhs, rows):
-        coeffs = [Fraction(x) for x in normal]
-        rhs = Fraction(rhs)
-        for rc, rr, piv in rows:
-            f = coeffs[piv]
-            if f:
-                coeffs = [a - f * b / rc[piv] for a, b in zip(coeffs, rc)]
-                rhs = rhs - f * rr / rc[piv]
-        piv = next((j for j in range(d) if coeffs[j]), None)
-        return coeffs, rhs, piv
-
-    def rec(start, rows):
-        if len(rows) == d:
-            x = back_substitute(rows)
-            if feasible_point(x):
-                found.add(x)
-            return
-        if len(cons) - start < d - len(rows):
-            return
-        for i in range(start, len(cons)):
-            coeffs, rhs, piv = reduce_row(cons[i][0], cons[i][1], rows)
-            if piv is not None:
-                rec(i + 1, rows + [(coeffs, rhs, piv)])
-
-    rec(0, [])
-    return sorted(found)
+    return [] if lineality else points
 
 
 def recession_rays(P):
@@ -667,25 +624,18 @@ def is_integral(P):
 # lattice points of dilated polytopes
 
 def lattice_points_dilation(points, b):
-    """Exact lattice points of b * conv(points): bounding-box scan with an
-    exact containment LP per candidate."""
+    """Exact lattice points of b * conv(points): a bounding-box scan that
+    keeps z when (z, b) passes the facet test of the cone over the lifts
+    (p, 1)."""
     if b < 1:
         raise InputError("dilation factor must be a positive integer")
     dim = len(points[0])
+    cone = IntegerCone.from_generators(
+        dim + 1, [tuple(p) + (1,) for p in points])
     lo = [b * min(p[i] for p in points) for i in range(dim)]
     hi = [b * max(p[i] for p in points) for i in range(dim)]
-    out = []
-    for z in product(*(range(ceil(l), floor(h) + 1) for l, h in zip(lo, hi))):
-        rows = [[p[i] for p in points] for i in range(dim)]
-        rows.append([1] * len(points))
-        prog = lp.make_lp(
-            objective=[0] * len(points),
-            rows=rows,
-            rhs=list(z) + [b],
-            senses=[lp.EQ] * (dim + 1))
-        if lp.feasible(prog):
-            out.append(z)
-    return out
+    return [z for z in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+            if cone.contains(z + (b,))]
 
 
 def cone_membership_lp(generators, point):

@@ -1,15 +1,19 @@
 """Independent brute-force oracles.
 
 Everything here decides by definition: subset scans for cliques, covers and
-colourings, lattice scans plus exact LP membership for cone questions.
+colourings, lattice scans plus exact LP membership for cone questions,
+basic solutions for the vertices of a polyhedron, and the tight-facet rank
+for extreme rays.
 None of it shares code paths with the double description, triangulation or
 simplex machinery it cross-checks (LP feasibility is the one shared
 primitive, and the facet/Hilbert computations never call it).
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
-from covercones import cone_membership_lp
+from covercones import InfeasibleError, cone_membership_lp, lp
+from covercones.linalg import dot, primitive, rank_int
 
 
 def subsets(vertices):
@@ -101,3 +105,65 @@ def brute_lattice_points_dilation(points, b, membership):
     hi = [b * max(p[i] for p in points) for i in range(dim)]
     return [z for z in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
             if membership(z)]
+
+
+def rank_filtered_extreme_rays(cone):
+    """Primitive generators whose tight facets have rank dim - 1: the
+    definition of an extreme ray of a pointed cone, applied to the cone's
+    own generators and facets."""
+    return sorted({p for p in map(primitive, cone.generators)
+                   if rank_int([h.normal for h in cone.facets
+                                if dot(h.normal, p) == 0]) == cone.dim - 1})
+
+
+def brute_vertices(P):
+    """All vertices, by enumerating basic solutions: every subset of `dim`
+    linearly independent constraints is solved exactly and kept when
+    feasible.  Prefix elimination states are shared across subsets.  An
+    exact LP decides emptiness first and raises InfeasibleError."""
+    prog = lp.make_lp(
+        objective=[0] * P.dim,
+        rows=[list(h.normal) for h in P.halfspaces],
+        rhs=[h.rhs for h in P.halfspaces],
+        senses=[lp.GE] * len(P.halfspaces),
+        nonneg=[False] * P.dim)
+    if not lp.feasible(prog):
+        raise InfeasibleError("polyhedron is empty")
+    cons = [(h.normal, h.rhs) for h in P.halfspaces]
+    d = P.dim
+    found = set()
+
+    def back_substitute(rows):
+        # rows are (coeffs, rhs, pivot column) in echelon order
+        x = [Fraction(0)] * d
+        for coeffs, rhs, piv in reversed(rows):
+            s = rhs - sum(coeffs[j] * x[j] for j in range(piv + 1, d))
+            x[piv] = Fraction(s, coeffs[piv])
+        return tuple(x)
+
+    def reduce_row(normal, rhs, rows):
+        coeffs = [Fraction(x) for x in normal]
+        rhs = Fraction(rhs)
+        for rc, rr, piv in rows:
+            f = coeffs[piv]
+            if f:
+                coeffs = [a - f * b / rc[piv] for a, b in zip(coeffs, rc)]
+                rhs = rhs - f * rr / rc[piv]
+        piv = next((j for j in range(d) if coeffs[j]), None)
+        return coeffs, rhs, piv
+
+    def rec(start, rows):
+        if len(rows) == d:
+            x = back_substitute(rows)
+            if all(dot(n, x) >= r for n, r in cons):
+                found.add(x)
+            return
+        if len(cons) - start < d - len(rows):
+            return
+        for i in range(start, len(cons)):
+            coeffs, rhs, piv = reduce_row(cons[i][0], cons[i][1], rows)
+            if piv is not None:
+                rec(i + 1, rows + [(coeffs, rhs, piv)])
+
+    rec(0, [])
+    return sorted(found)

@@ -12,8 +12,9 @@ from covercones.checks import _columns_of
 from covercones.errors import CapExceededError
 from covercones.lp import GE, OPTIMAL, make_lp, solve, solve_ilp_bounded
 
-from corpus import (all_graphs_up_to_iso, complete_graph, cycle_graph,
-                    no_isolated, path_graph, small_graph_corpus, with_edges)
+from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
+                    cycle_graph, no_isolated, path_graph, small_graph_corpus,
+                    with_edges)
 
 
 def test_cone_perfection_fixtures():
@@ -147,6 +148,14 @@ def test_mfmc_fixtures():
     assert mfmc_check(edge_clutter(complete_graph(2))).verdict is True
     mixed = mfmc_check(Clutter(3, [(1,), (2, 3)]))
     assert mixed.verdict is None and "mixed" in mixed.reason
+    k34 = mfmc_check(edge_clutter(complete_bipartite(3, 4)))
+    assert k34.verdict is True
+    assert k34.certificate["covering_integral_vertices"] == [
+        (0, 0, 0, 1, 1, 1, 1), (1, 1, 1, 0, 0, 0, 0)]
+    c7 = mfmc_check(edge_clutter(cycle_graph(7)))
+    assert c7.verdict is False
+    assert c7.witness == {"packing": {"vertex": ("1/2",) * 7},
+                          "covering": {"vertex": ("1/2",) * 7}}
 
 
 def test_mfmc_true_implies_integral_covering_ilp_for_all_ones():

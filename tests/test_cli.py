@@ -129,6 +129,23 @@ def test_undecodable_input_exits_two(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_internal_self_check_failure_exits_four(write, capsys, monkeypatch):
+    from covercones import checks
+
+    def broken(C):
+        raise AssertionError(
+            "integral covering vertices differ from the minimal covers")
+
+    monkeypatch.setattr(checks, "mfmc_check", broken)
+    path = write("c4.graph", "graph { a-b b-c c-d d-a }\n")
+    assert main(["check-mfmc", path, "--assert", "true"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: internal consistency failure: integral covering vertices "
+        "differ from the minimal covers\n")
+    assert captured.out == ""
+
+
 def test_gorenstein_scan_bound_below_two_is_rejected(write, capsys):
     path = write("c5.graph", PENTAGON)
     for bound in ("0", "1"):

@@ -12,8 +12,9 @@ from covercones import (Halfspace, HRepPolyhedron, InfeasibleError,
                         recession_rays, semigroup_member, vertices)
 from covercones.errors import CapExceededError, NoGradingError
 
-from corpus import cycle_graph
-from oracles import brute_hilbert_basis
+from corpus import cycle_graph, small_graph_corpus
+from oracles import (brute_hilbert_basis, brute_lattice_points_dilation,
+                     brute_vertices, rank_filtered_extreme_rays)
 
 
 def unit(dim, i):
@@ -220,8 +221,9 @@ def test_contains_and_interior():
 
 
 def test_dd_rays_match_rank_filtered_generators():
-    # two independent routes to the extreme rays: double description on the
-    # facet side versus the tight-rank filter over the generators
+    # three routes to the extreme rays: double description on the facet
+    # side, the tight-rank filter over the generators (the oracle), and the
+    # tight-mask inclusion test of IntegerCone.extreme_rays
     rng = random.Random(777)
     trials = 0
     while trials < 60:
@@ -235,8 +237,9 @@ def test_dd_rays_match_rank_filtered_generators():
         if not cone.is_pointed():
             continue
         trials += 1
-        assert set(cone.extreme_rays()) == \
-            set(extreme_rays_of_halfspaces(dim, cone.facets))
+        want = rank_filtered_extreme_rays(cone)
+        assert extreme_rays_of_halfspaces(dim, cone.facets) == want
+        assert list(cone.extreme_rays()) == want
 
 
 def test_roundtrip_facets_then_rays_random_cones():
@@ -290,6 +293,40 @@ def test_vertices_raises_on_infeasible():
         vertices(P)
 
 
+def _vertices_or_empty(P, find):
+    try:
+        return find(P)
+    except InfeasibleError:
+        return None
+
+
+def test_vertices_match_basis_enumeration():
+    # the packing and covering polyhedra of small graphs
+    for G in small_graph_corpus():
+        unit_hs = [make_halfspace(unit(G.n, i)) for i in range(G.n)]
+        cols = [tuple(int(v in e) for v in range(1, G.n + 1)) for e in G.edges]
+        for side in ([Halfspace(tuple(-x for x in c), -1) for c in cols],
+                     [Halfspace(c, 1) for c in cols]):
+            P = HRepPolyhedron(G.n, tuple(unit_hs + side))
+            assert vertices(P) == brute_vertices(P)
+    # seeded random polyhedra: empty, line-containing, unbounded, bounded
+    rng = random.Random(2006)
+    kinds = {"empty": 0, "line": 0, "pointed": 0}
+    for trial in range(400):
+        d = trial % 4 + 1
+        k = rng.randint(1, 2 * d + 2)
+        hs = []
+        while len(hs) < k:
+            normal = tuple(rng.randint(-2, 2) for _ in range(d))
+            if any(normal):
+                hs.append(make_halfspace(normal, rng.randint(-3, 3)))
+        P = HRepPolyhedron(d, tuple(hs))
+        want = _vertices_or_empty(P, brute_vertices)
+        assert _vertices_or_empty(P, vertices) == want
+        kinds["empty" if want is None else "pointed" if want else "line"] += 1
+    assert kinds == {"empty": 110, "line": 69, "pointed": 221}
+
+
 def test_lattice_points_dilation_examples():
     assert lattice_points_dilation([(1, 0), (0, 1)], 2) == [
         (0, 2), (1, 1), (2, 0)]
@@ -298,6 +335,17 @@ def test_lattice_points_dilation_examples():
     assert len(lattice_points_dilation(c4_cliques, 2)) == 9
     with pytest.raises(InputError):
         lattice_points_dilation([(1, 0)], 0)
+
+
+def test_lattice_points_dilation_against_lp_membership():
+    c4_cliques = [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]
+    c4_covers = cover_ideal(edge_clutter(cycle_graph(4)))
+    for points in (c4_cliques, c4_covers, [(2, 0), (0, 2)]):
+        lifts = [tuple(p) + (1,) for p in points]
+        for b in (1, 2, 3):
+            want = brute_lattice_points_dilation(
+                points, b, lambda z: cone_membership_lp(lifts, z + (b,)))
+            assert lattice_points_dilation(points, b) == want
 
 
 def test_semigroup_membership_examples():
