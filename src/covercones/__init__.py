@@ -14,14 +14,13 @@ from .blowup import (MonomialGenerator, ReesConeModel, SimisConeModel,
                      simis_hilbert_basis, symbolic_generators_perfect)
 from .checks import (balanced_check, balanced_oracle, clique_halfspaces,
                      cm_height_two_normal, dual_balanced_normal, mfmc_check,
-                     perfect_matrix_check, perfect_via_rees_cone, tdi_check,
-                     tdi_oracle)
+                     perfect_matrix_check, perfect_via_odd_holes,
+                     perfect_via_rees_cone, tdi_check, tdi_oracle)
 from .clutters import (Clutter, Graph, IncidenceMatrix, all_cliques, blocker,
-                       chromatic_number, clique_equalization, clique_number,
-                       complement, contraction, cover_ideal,
-                       cover_ideal_of_complement, deletion, dual_ideal,
-                       edge_clutter, graph_chordless_cycles, incidence_matrix,
-                       is_chordal, is_perfect_definitional, is_unmixed,
+                       clique_equalization, complement, contraction,
+                       cover_ideal, cover_ideal_of_complement, deletion,
+                       dual_ideal, edge_clutter, graph_chordless_cycles,
+                       incidence_matrix, is_chordal, is_unmixed,
                        maximal_cliques, maximal_independent_sets,
                        minimal_vertex_covers, vertex_clique_matrix)
 from .cones import (Halfspace, HilbertBasis, HRepPolyhedron, IntegerCone,

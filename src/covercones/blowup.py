@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .clutters import (Clutter, all_cliques, cover_ideal, edge_clutter,
-                       is_perfect_definitional, is_unmixed,
-                       minimal_vertex_covers, PERFECTION_ORACLE_CAP)
+                       is_unmixed, minimal_vertex_covers)
 from .cones import (HILBERT_DIM_CAP, IntegerCone, hilbert_basis,
                     lattice_points_dilation, make_halfspace,
                     semigroup_member)
@@ -179,20 +178,24 @@ def clique_lift_set(G):
     return out
 
 
-def symbolic_generators_perfect(G, assume_perfect=False,
-                                perfection_cap=PERFECTION_ORACLE_CAP):
+def symbolic_generators_perfect(G, assume_perfect=False):
     """Symbolic blowup generators of the edge ideal of a perfect graph: one
     monomial x^w t^{|w|-1} per non-empty clique w.
 
-    Perfection is verified with the definitional oracle unless the caller
-    asserts it (recorded by the caller); imperfect graphs are rejected in
-    verified mode because the clique description is only proven there.
+    Perfection is verified by the odd hole and antihole search of
+    checks.perfect_via_odd_holes unless the caller asserts it (recorded by
+    the caller); imperfect graphs are rejected in verified mode, naming the
+    odd hole or antihole, because the clique description is only proven
+    for perfect graphs.  The search has no vertex cap; its node budget
+    raises CapExceededError.
     """
     if not assume_perfect:
-        verdict = is_perfect_definitional(G, cap=perfection_cap)
+        from .checks import perfect_via_odd_holes   # checks imports blowup
+        verdict = perfect_via_odd_holes(G)
         if not verdict.verdict:
+            (kind, cycle), = verdict.witness.items()
             raise InputError(
-                f"graph is not perfect (witness {verdict.witness['subset']})")
+                f"graph is not perfect ({kind.replace('_', ' ')} {cycle})")
     return clique_lift_set(G)
 
 

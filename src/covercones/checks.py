@@ -1,11 +1,11 @@
 """Theorem-level decision procedures with definitional oracle partners.
 
-Each check here rides a polyhedral characterization (clique facets, polytope
-integrality, Hilbert-basis conditions) and reports `method: theorem-path`;
-each has an oracle partner that decides the same property by exhaustive
-search or LP/ILP comparison and reports `method: oracle`.  The test suite
-runs both on small inputs and treats any disagreement as a failure, which is
-the point of the package.
+Each check here rides a characterization (clique facets, polytope
+integrality, Hilbert-basis conditions, the strong perfect graph theorem) and
+reports `method: theorem-path`; each has an oracle partner that decides the
+same property by exhaustive search or LP/ILP comparison and reports
+`method: oracle`.  The test suite runs both on small inputs and treats any
+disagreement as a failure, which is the point of the package.
 """
 
 from .blowup import is_rees_normal, rees_cone
@@ -21,6 +21,7 @@ from .lp import GE, INFEASIBLE, OPTIMAL, make_lp, solve, solve_ilp_bounded
 from .report import ORACLE, THEOREM_PATH, CheckReport
 
 PERFECT_CONE_CAP = 9
+HOLE_SEARCH_BUDGET = 1_000_000
 
 
 def _columns_of(A):
@@ -68,6 +69,30 @@ def perfect_via_rees_cone(G, cap=PERFECT_CONE_CAP):
         witness={"non_clique_facets": [h.normal for h in extra],
                  "clique_inequalities_not_facets": [h.normal for h in missing]},
         search_bounds={"n_cap": cap})
+
+
+def perfect_via_odd_holes(G, budget=HOLE_SEARCH_BUDGET):
+    """Perfection by the strong perfect graph theorem (Chudnovsky, Robertson,
+    Seymour and Thomas): a graph is perfect iff neither it nor its complement
+    has an induced odd cycle of length five or more.  The induced cycles of G
+    and then of its complement are walked up to the first odd one, which is
+    the witness; the certificate counts the even ones examined.  Each walk
+    expands at most `budget` search nodes."""
+    examined = []
+    for kind, H in (("odd_hole", G), ("odd_antihole", complement(G))):
+        count = 0
+        for cycle in chordless_cycles(H.n, H.adj, 5, budget=budget):
+            if len(cycle) % 2:
+                return CheckReport(
+                    name="perfect-via-odd-holes", verdict=False,
+                    method=THEOREM_PATH, witness={kind: cycle},
+                    search_bounds={"node_budget": budget})
+            count += 1
+        examined.append(count)
+    return CheckReport(
+        name="perfect-via-odd-holes", verdict=True, method=THEOREM_PATH,
+        certificate={"even_holes": examined[0], "even_antiholes": examined[1]},
+        search_bounds={"node_budget": budget})
 
 
 def perfect_matrix_check(A):

@@ -5,11 +5,13 @@ ideal (see textio).  Output is a pretty text report by default or a
 versioned machine-readable document with --json.  Exit codes: 0 the command
 completed (whatever the verdict), 1 the verdict differed from --assert,
 2 malformed input, 3 a size cap was exceeded, 4 an internal self-check
-failed (a theorem path disagreed with its oracle or its own invariant).
+failed (a theorem path disagreed with an independent path or its own
+invariant).
 """
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -17,8 +19,7 @@ import time
 
 from . import blowup, checks
 from .clutters import (all_cliques, blocker, clique_equalization, cover_ideal,
-                       edge_clutter, is_perfect_definitional, maximal_cliques,
-                       minimal_vertex_covers, PERFECTION_ORACLE_CAP)
+                       edge_clutter, maximal_cliques, minimal_vertex_covers)
 from .cones import HILBERT_DIM_CAP, hilbert_basis
 from .errors import CapExceededError, InputError
 from .report import _plain
@@ -95,10 +96,10 @@ def check(report):
 def _cmd_check_perfect(doc, cfg):
     G = _doc_graph(doc)
     cone = checks.perfect_via_rees_cone(G, cap=cfg["cap_n"])
-    oracle = is_perfect_definitional(G, cap=cfg["cap_n"])
-    if cone.verdict != oracle.verdict:
-        raise AssertionError("cone characterization and oracle disagree")
-    return [check(cone), check(oracle)], cone.verdict
+    holes = checks.perfect_via_odd_holes(G)
+    if cone.verdict != holes.verdict:
+        raise AssertionError("cone characterization and odd hole search disagree")
+    return [check(cone), check(holes)], cone.verdict
 
 
 def _cmd_rees_cone(doc, cfg):
@@ -157,8 +158,7 @@ def _cmd_check_gorenstein(doc, cfg):
 def _cmd_symbolic_gens(doc, cfg):
     G = _doc_graph(doc)
     gens = blowup.symbolic_generators_perfect(
-        G, assume_perfect=cfg["assume_perfect"],
-        perfection_cap=cfg["cap_n"])
+        G, assume_perfect=cfg["assume_perfect"])
     mode = "assumed-perfect" if cfg["assume_perfect"] else "verified-perfect"
     return [data("perfection", mode),
             data("generators", [str(m) for m in gens])], NO_VERDICT
@@ -271,6 +271,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="covercones",
@@ -282,7 +283,8 @@ def _build_parser():
                         help="machine-readable output")
     parser.add_argument("--assert", dest="assert_verdict", choices=["true", "false"],
                         help="exit 1 unless the primary verdict matches")
-    parser.add_argument("--cap-n", type=int, default=PERFECTION_ORACLE_CAP)
+    parser.add_argument("--cap-n", type=int, default=checks.PERFECT_CONE_CAP,
+                        help="vertex cap of check-perfect's cone path")
     parser.add_argument("--hb-dim-cap", type=int, default=HILBERT_DIM_CAP)
     parser.add_argument("--alpha-box", type=int, default=None,
                         help="symmetric objective box for tdi-oracle")
@@ -296,7 +298,7 @@ def _build_parser():
     parser.add_argument("--all", dest="all_cliques", action="store_true",
                         help="also list non-maximal cliques")
     parser.add_argument("--assume-perfect", action="store_true",
-                        help="skip the perfection oracle in symbolic-gens")
+                        help="skip the perfection check in symbolic-gens")
     parser.add_argument("--minimalize", action="store_true",
                         help="drop comparable clutter edges instead of rejecting")
     return parser
@@ -401,8 +403,7 @@ def main(argv=None):
         print(f"error: internal consistency failure: {exc}", file=sys.stderr)
         return 4
     if args.json:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        print()
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     else:
         _print_pretty(report, sys.stdout)
     return exit_code

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapExceededError, DegenerateMinorError, InputError
-from .report import ORACLE, CheckReport
-
-PERFECTION_ORACLE_CAP = 9
 
 
 def _mask_of(vertices):
@@ -372,75 +369,12 @@ def clique_equalization(G):
 
 
 # ---------------------------------------------------------------------------
-# colouring, cliques, perfection oracle
+# unmixedness
 
 def is_unmixed(C):
     """True when all minimal vertex covers have the same cardinality."""
     covers = minimal_vertex_covers(C)
     return len({len(c) for c in covers}) <= 1
-
-
-def clique_number(G):
-    if G.n == 0:
-        return 0
-    return max(len(c) for c in maximal_cliques(G))
-
-
-def _colorable(G, k):
-    if k >= G.n:
-        return True
-    order = sorted(range(1, G.n + 1), key=lambda v: -G.degree(v))
-    colors = {}
-
-    def assign(i, used):
-        if i == len(order):
-            return True
-        v = order[i]
-        forbidden = {colors[u] for u in colors if G.adjacent(u, v)}
-        for c in range(1, min(used + 1, k) + 1):
-            if c not in forbidden:
-                colors[v] = c
-                if assign(i + 1, max(used, c)):
-                    return True
-                del colors[v]
-        return False
-
-    return assign(0, 0)
-
-
-def chromatic_number(G):
-    """Exact chromatic number by backtracking search."""
-    if G.n == 0:
-        return 0
-    k = clique_number(G)
-    while not _colorable(G, k):
-        k += 1
-    return k
-
-
-def is_perfect_definitional(G, cap=PERFECTION_ORACLE_CAP):
-    """Decide perfection straight from the definition: every induced
-    subgraph must have chromatic number equal to its clique number.
-
-    Subsets are scanned by size then lexicographically; the witness of a
-    false verdict is the first violating vertex subset.
-    """
-    if G.n > cap:
-        raise CapExceededError(f"perfection oracle capped at n <= {cap}")
-    vertices = range(1, G.n + 1)
-    for size in range(1, G.n + 1):
-        for subset in combinations(vertices, size):
-            H = G.induced(subset)
-            chi, omega = chromatic_number(H), clique_number(H)
-            if chi != omega:
-                return CheckReport(
-                    name="perfect-definitional", verdict=False, method=ORACLE,
-                    witness={"subset": subset, "chromatic": chi, "clique": omega},
-                    search_bounds={"n_cap": cap})
-    return CheckReport(
-        name="perfect-definitional", verdict=True, method=ORACLE,
-        certificate={"induced_subgraphs_checked": 2 ** G.n - 1},
-        search_bounds={"n_cap": cap})
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +392,18 @@ def vertex_clique_matrix(G):
 
 
 # ---------------------------------------------------------------------------
-# induced cycles (used by chordality and balancedness checks)
+# induced cycles (used by the chordality, balancedness and perfection checks)
 
-def chordless_cycles(n, adjacency, min_len=4):
+def chordless_cycles(n, adjacency, min_len=4, budget=None):
     """Enumerate induced (chordless) cycles of length >= min_len.
 
     `adjacency` is a sequence indexed 1..n of neighbour bitmasks.  Cycles are
     yielded as vertex tuples starting at their smallest vertex, each exactly
-    once; the orientation with the smaller second vertex is kept.
+    once; the orientation with the smaller second vertex is kept.  With a
+    `budget`, the search raises CapExceededError once it would expand more
+    than that many nodes (induced paths).
     """
+    nodes = 0
     for s in range(1, n + 1):
         sbit = 1 << (s - 1)
         higher = ~((sbit << 1) - 1)
@@ -475,6 +412,10 @@ def chordless_cycles(n, adjacency, min_len=4):
             v = vb.bit_length()
             stack.append(((s, v), sbit | vb, adjacency[v] & higher & ~sbit & ~vb))
         while stack:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise CapExceededError(
+                    f"induced-cycle search exceeded its budget of {budget} nodes")
             path, mask, cand = stack.pop()
             last = path[-1]
             internal = mask & ~sbit & ~(1 << (last - 1))

@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 Everything here decides by definition: subset scans for cliques, covers and
-colourings, lattice scans plus exact LP membership for cone questions,
+colourings, perfection as chromatic = clique number on every induced
+subgraph, lattice scans plus exact LP membership for cone questions,
 basic solutions for the vertices of a polyhedron, and the tight-facet rank
 for extreme rays.
 None of it shares code paths with the double description, triangulation or
@@ -12,8 +13,12 @@ primitive, and the facet/Hilbert computations never call it).
 from fractions import Fraction
 from itertools import combinations, product
 
-from covercones import InfeasibleError, cone_membership_lp, lp
+from covercones import (CapExceededError, CheckReport, InfeasibleError,
+                        cone_membership_lp, lp, maximal_cliques)
 from covercones.linalg import dot, primitive, rank_int
+from covercones.report import ORACLE
+
+PERFECTION_ORACLE_CAP = 9
 
 
 def subsets(vertices):
@@ -70,6 +75,69 @@ def brute_is_perfect(G):
         if brute_chromatic_number(H) != brute_clique_number(H):
             return False
     return True
+
+
+def clique_number(G):
+    if G.n == 0:
+        return 0
+    return max(len(c) for c in maximal_cliques(G))
+
+
+def _colorable(G, k):
+    if k >= G.n:
+        return True
+    order = sorted(range(1, G.n + 1), key=lambda v: -G.degree(v))
+    colors = {}
+
+    def assign(i, used):
+        if i == len(order):
+            return True
+        v = order[i]
+        forbidden = {colors[u] for u in colors if G.adjacent(u, v)}
+        for c in range(1, min(used + 1, k) + 1):
+            if c not in forbidden:
+                colors[v] = c
+                if assign(i + 1, max(used, c)):
+                    return True
+                del colors[v]
+        return False
+
+    return assign(0, 0)
+
+
+def chromatic_number(G):
+    """Exact chromatic number by backtracking search."""
+    if G.n == 0:
+        return 0
+    k = clique_number(G)
+    while not _colorable(G, k):
+        k += 1
+    return k
+
+
+def is_perfect_definitional(G, cap=PERFECTION_ORACLE_CAP):
+    """Decide perfection straight from the definition: every induced
+    subgraph must have chromatic number equal to its clique number.
+
+    Subsets are scanned by size then lexicographically; the witness of a
+    false verdict is the first violating vertex subset.
+    """
+    if G.n > cap:
+        raise CapExceededError(f"perfection oracle capped at n <= {cap}")
+    vertices = range(1, G.n + 1)
+    for size in range(1, G.n + 1):
+        for subset in combinations(vertices, size):
+            H = G.induced(subset)
+            chi, omega = chromatic_number(H), clique_number(H)
+            if chi != omega:
+                return CheckReport(
+                    name="perfect-definitional", verdict=False, method=ORACLE,
+                    witness={"subset": subset, "chromatic": chi, "clique": omega},
+                    search_bounds={"n_cap": cap})
+    return CheckReport(
+        name="perfect-definitional", verdict=True, method=ORACLE,
+        certificate={"induced_subgraphs_checked": 2 ** G.n - 1},
+        search_bounds={"n_cap": cap})
 
 
 def brute_hilbert_basis(generators, box_hi=6):

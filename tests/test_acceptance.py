@@ -17,7 +17,7 @@ from covercones import (IntegerCone, balanced_check,
                         cone_membership_lp, cover_ideal, dual_balanced_normal,
                         edge_clutter, gorenstein_check, hilbert_basis,
                         incidence_matrix, irredundancy_witnesses,
-                        is_perfect_definitional, is_rees_normal, is_unmixed,
+                        is_rees_normal, is_unmixed,
                         is_chordal, complement, mfmc_check,
                         perfect_matrix_check, perfect_via_rees_cone,
                         rees_cone, simis_hilbert_basis,
@@ -27,7 +27,7 @@ from covercones.cli import main
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
                     cycle_graph, is_bipartite, no_isolated,
                     random_six_vertex_corpus, small_graph_corpus, with_edges)
-from oracles import brute_hilbert_basis
+from oracles import brute_hilbert_basis, is_perfect_definitional
 
 
 @contextmanager
@@ -69,9 +69,9 @@ def test_pentagon_imperfect_but_cover_ideal_normal(tmp_path, capsys):
         assert main(["check-perfect", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["primary_verdict"] is False
-        cone_check, oracle_check = report["results"]
+        cone_check, hole_check = report["results"]
         assert cone_check["witness"]["non_clique_facets"] == [[1, 1, 1, 1, 1, -3]]
-        assert oracle_check["witness"]["subset"] == [1, 2, 3, 4, 5]
+        assert hole_check["witness"] == {"odd_hole": [1, 2, 3, 4, 5]}
 
         assert main(["check-normal", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -114,7 +114,7 @@ def test_symbolic_generators_for_perfect_graphs():
 
 
 def test_symbolic_generators_reject_imperfect_unless_assumed():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"odd hole \(1, 2, 3, 4, 5\)"):
         symbolic_generators_perfect(cycle_graph(5))
     gens = symbolic_generators_perfect(cycle_graph(5), assume_perfect=True)
     assert len(gens) == 10

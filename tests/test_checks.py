@@ -1,20 +1,23 @@
+import random
+
 import pytest
 
-from covercones import (Clutter, InputError, IntegerCone, balanced_check,
-                        balanced_oracle, clique_halfspaces,
+from covercones import (Clutter, Graph, InputError, IntegerCone,
+                        balanced_check, balanced_oracle, clique_halfspaces,
                         cm_height_two_normal, complement, cover_ideal,
                         dual_balanced_normal, edge_clutter, hilbert_basis,
-                        incidence_matrix, is_perfect_definitional,
-                        is_rees_normal, mfmc_check, perfect_matrix_check,
+                        incidence_matrix, is_rees_normal, mfmc_check,
+                        perfect_matrix_check, perfect_via_odd_holes,
                         perfect_via_rees_cone, rees_cone, semigroup_member,
                         tdi_check, tdi_oracle, vertex_clique_matrix)
-from covercones.checks import _columns_of
+from covercones.checks import HOLE_SEARCH_BUDGET, _columns_of
 from covercones.errors import CapExceededError
 from covercones.lp import GE, OPTIMAL, make_lp, solve, solve_ilp_bounded
 
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
                     cycle_graph, no_isolated, path_graph, small_graph_corpus,
                     with_edges)
+from oracles import is_perfect_definitional
 
 
 def test_cone_perfection_fixtures():
@@ -41,6 +44,70 @@ def test_cone_perfection_equals_oracle_on_connected_four_vertex_graphs():
     for G in with_edges(no_isolated(all_graphs_up_to_iso(4))):
         assert (perfect_via_rees_cone(G).verdict
                 == is_perfect_definitional(G).verdict)
+
+
+def _assert_induced_odd_cycle(H, cycle):
+    """`cycle` is an odd induced cycle of H of length >= 5: consecutive
+    vertices are adjacent, every vertex has exactly two neighbours inside
+    it, and it is connected."""
+    assert len(cycle) >= 5 and len(cycle) % 2 == 1
+    inside = set(cycle)
+    assert len(inside) == len(cycle)
+    for i, v in enumerate(cycle):
+        assert H.adjacent(v, cycle[i - 1])
+        assert sum(H.adjacent(v, u) for u in inside) == 2
+    reached, frontier = {cycle[0]}, [cycle[0]]
+    while frontier:
+        v = frontier.pop()
+        for u in inside - reached:
+            if H.adjacent(v, u):
+                reached.add(u)
+                frontier.append(u)
+    assert reached == inside
+
+
+def _random_graph(rng, n):
+    p = rng.uniform(0.15, 0.85)
+    return Graph(n, [(u, v) for u in range(1, n + 1)
+                     for v in range(u + 1, n + 1) if rng.random() < p])
+
+
+def test_odd_hole_search_matches_definitional_oracle():
+    graphs = [G for n in range(1, 7) for G in all_graphs_up_to_iso(n)]
+    rng = random.Random(20261018)
+    graphs += [_random_graph(rng, n) for n in (7, 8, 9) for _ in range(50)]
+    verdicts = []
+    for G in graphs:
+        report = perfect_via_odd_holes(G)
+        assert report.verdict == is_perfect_definitional(G).verdict, G
+        assert report.verdict == perfect_via_odd_holes(complement(G)).verdict, G
+        assert report.search_bounds == {"node_budget": HOLE_SEARCH_BUDGET}
+        if report.verdict:
+            assert set(report.certificate) == {"even_holes", "even_antiholes"}
+        else:
+            (kind, cycle), = report.witness.items()
+            H = G if kind == "odd_hole" else complement(G)
+            assert kind in ("odd_hole", "odd_antihole")
+            _assert_induced_odd_cycle(H, cycle)
+        verdicts.append(report.verdict)
+    assert len(graphs) == 358
+    assert verdicts.count(False) == 45      # 9 with n <= 6, 36 random
+
+
+def test_odd_hole_search_fixtures_and_budget():
+    assert perfect_via_odd_holes(cycle_graph(5)).witness == \
+        {"odd_hole": (1, 2, 3, 4, 5)}
+    c7bar = perfect_via_odd_holes(complement(cycle_graph(7)))
+    assert c7bar.witness == {"odd_antihole": (1, 2, 3, 4, 5, 6, 7)}
+    c6 = perfect_via_odd_holes(cycle_graph(6))
+    assert c6.verdict is True
+    assert c6.certificate == {"even_holes": 1, "even_antiholes": 0}
+    grid = Graph(20, [(v, v + 1) for v in range(1, 21) if v % 5]
+                 + [(v, v + 5) for v in range(1, 16)])
+    for G in (grid, complete_bipartite(8, 8)):
+        assert perfect_via_odd_holes(G).verdict is True
+    with pytest.raises(CapExceededError):
+        perfect_via_odd_holes(grid, budget=10)
 
 
 def test_exhaustive_six_vertex_sweep():

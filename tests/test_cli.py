@@ -93,9 +93,26 @@ def test_check_perfect_pentagon(write, capsys):
     code, report = run_json(capsys, ["check-perfect", path])
     assert code == 0
     assert report["primary_verdict"] is False
-    cone, oracle = report["results"]
-    assert cone["method"] == "theorem-path" and oracle["method"] == "oracle"
+    cone, holes = report["results"]
+    assert cone["method"] == holes["method"] == "theorem-path"
     assert cone["witness"]["non_clique_facets"] == [[1, 1, 1, 1, 1, -3]]
+    assert holes["name"] == "perfect-via-odd-holes"
+    assert holes["witness"] == {"odd_hole": [1, 2, 3, 4, 5]}
+
+
+def test_symbolic_gens_verifies_perfection_past_the_cone_cap(write, capsys):
+    k55 = write("k55.graph", "".join(f"{u} {v}\n" for u in range(1, 6)
+                                     for v in range(6, 11)))
+    code, report = run_json(capsys, ["symbolic-gens", k55])
+    assert code == 0
+    assert report["results"][0]["value"] == "verified-perfect"
+    assert len(report["results"][1]["value"]) == 35   # 10 vertices, 25 edges
+    c7bar = write("c7bar.graph", "".join(
+        f"{u} {v}\n" for u in range(1, 8) for v in range(u + 2, 8)
+        if (u, v) != (1, 7)))
+    assert main(["symbolic-gens", c7bar]) == 2
+    err = capsys.readouterr().err
+    assert "odd antihole (1, 2, 3, 4, 5, 6, 7)" in err
 
 
 def test_assert_flag_drives_exit_code(write, capsys):
