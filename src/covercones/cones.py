@@ -14,9 +14,10 @@ Hilbert bases are computed the classical way: triangulate the cone (a
 pulling triangulation read off the cone's own ray/facet incidences, so no
 face runs a double description), collect the lattice points of each
 simplicial piece's half-open fundamental parallelepiped (these generate the
-semigroup of all lattice points), then discard every element that splits
-as a sum of two non-zero lattice points of the cone.  The result is the
-unique minimal generating set, independent of the triangulation.
+semigroup of all lattice points; one integer diagonal form U S V = D of the
+piece lists them, whatever its rank), then discard every element that
+splits as a sum of two non-zero lattice points of the cone.  The result is
+the unique minimal generating set, independent of the triangulation.
 
 semigroup_member, a graded exhaustive search, is an oracle: the theorem
 paths test Hilbert-basis inclusion instead, because an irreducible lattice
@@ -30,13 +31,13 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import floor, gcd
+from math import gcd
 
 from . import lp
 from .errors import CapExceededError, InfeasibleError, InputError, \
     NoGradingError, NotPointedError
-from .linalg import diagonalize_with_uinv, dot, gcd_vec, invert, matvec, \
-    primitive, rank_int, sign_normalized, solve_columns, vec_sub
+from .linalg import diagonalize, dot, gcd_vec, primitive, rank_int, \
+    sign_normalized, vec_sub
 from .report import ORACLE, CheckReport
 
 HILBERT_DIM_CAP = 10
@@ -316,10 +317,6 @@ class IntegerCone:
     def is_pointed(self):
         return rank_int([h.normal for h in self.facets]) == self.dim
 
-    def is_full_dimensional(self):
-        normals = {h.normal for h in self.facets}
-        return not any(tuple(-x for x in n) in normals for n in normals)
-
     def contains(self, point):
         if len(point) != self.dim:
             raise InputError("dimension mismatch")
@@ -392,43 +389,31 @@ def _triangulate(rays, facets):
     return pieces((1 << len(rays)) - 1, rank_int(rays))
 
 
-def _parallelepiped_points(simplex, dim):
-    """Non-zero lattice points of {sum t_i s_i : 0 <= t_i < 1}.
+def _parallelepiped_points(simplex):
+    """Non-zero lattice points of {sum t_j s_j : 0 <= t_j < 1}.
 
-    Full-rank pieces go through a Smith-style diagonalization: the coset
-    representatives of Z^d / S Z^d are U^{-1} c, and each is folded into the
-    half-open parallelepiped.  Lower-rank pieces fall back to an exact
-    bounding-box scan.
+    One diagonal form U S V = D serves pieces of every rank k <= d.  The
+    cosets of S Z^k among the lattice points of span S are indexed by c in
+    the box prod [0, |d_i|), the coset of c has coordinates t = V D^{-1} c
+    over the columns, and its point in the half-open parallelepiped is
+    S frac(t).  Scaling by order = prod |d_i| keeps everything integral.
     """
-    k = len(simplex)
-    if k == dim:
-        rows = [[simplex[j][i] for j in range(k)] for i in range(dim)]
-        diag, uinv = diagonalize_with_uinv(rows)
-        order = 1
-        for d in diag:
-            order *= abs(d)
-        if order == 1:
-            return []
-        sinv = invert(rows)
-        points = set()
-        for c in product(*(range(abs(d)) for d in diag)):
-            rep = matvec(uinv, c)
-            shifts = [floor(ti) for ti in matvec(sinv, rep)]
-            z = tuple(rep[i] - sum(sh * simplex[j][i]
-                                   for j, sh in enumerate(shifts))
-                      for i in range(dim))
-            if any(z):
-                points.add(z)
-        return sorted(points)
-    lo = [sum(min(0, s[i]) for s in simplex) for i in range(dim)]
-    hi = [sum(max(0, s[i]) for s in simplex) for i in range(dim)]
+    diag, v = diagonalize(simplex)
+    order = 1
+    for d in diag:
+        order *= abs(d)
+    if order == 1:
+        return []
+    scale = [order // d for d in diag]
+    dim = len(simplex[0])
     points = []
-    for z in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if not any(z):
+    for c in product(*(range(abs(d)) for d in diag)):
+        if not any(c):
             continue
-        t = solve_columns(simplex, z)
-        if t is not None and all(0 <= ti < 1 for ti in t):
-            points.append(z)
+        w = [ci * si for ci, si in zip(c, scale)]
+        t = [dot(row, w) % order for row in v]
+        points.append(tuple(sum(tj * s[i] for tj, s in zip(t, simplex))
+                            // order for i in range(dim)))
     return sorted(points)
 
 
@@ -454,7 +439,7 @@ def hilbert_basis(cone, dim_cap=HILBERT_DIM_CAP):
     facets = cone.facets
     candidates = set(rays)
     for simplex in _triangulate(rays, facets):
-        candidates.update(_parallelepiped_points(simplex, cone.dim))
+        candidates.update(_parallelepiped_points(simplex))
     members = sorted(candidates)
 
     def in_cone(v):

@@ -92,119 +92,63 @@ def solve_square(rows, rhs):
     return tuple(a[i][n] for i in range(n))
 
 
-def invert(rows):
-    """Exact inverse of a square integer matrix as Fraction rows, or None."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        lead = a[col][col]
-        a[col] = [x / lead for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+def diagonalize(columns):
+    """Diagonalize the d x k integer matrix S whose columns are `columns`
+    (k <= d) by unimodular row and column operations: U S V = D, with D
+    zero off its leading k x k diagonal.
 
-
-def solve_columns(columns, target):
-    """Solve sum_j t_j * columns[j] = target for a full-column-rank family.
-
-    Returns the Fraction coefficient tuple, or None when the system is
-    inconsistent.  Used for membership in simplicial cones.
+    Returns (diag, V) where diag is the list of the k diagonal entries of D
+    and V is the k x k column transform as a list of rows.  Only V is
+    tracked: with the columns linearly independent, the lattice points of
+    span S are U^{-1}(Z^k x 0) and S Z^k is U^{-1}(D Z^k), so the cosets of
+    S Z^k are indexed by c in the box prod [0, |d_i|), and the coset of c has
+    coordinates V D^{-1} c over the columns.
     """
-    d = len(target)
+    d = len(columns[0])
     k = len(columns)
-    a = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-         for i in range(d)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, d) if a[i][col]), None)
-        if piv is None:
-            return None  # columns were not independent
-        a[row], a[piv] = a[piv], a[row]
-        lead = a[row][col]
-        a[row] = [x / lead for x in a[row]]
-        for i in range(d):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        pivots.append(row)
-        row += 1
-    for i in range(row, d):
-        if a[i][k]:
-            return None  # inconsistent
-    return tuple(a[r][k] for r in pivots)
-
-
-def diagonalize_with_uinv(rows):
-    """Diagonalize an integer square matrix S by unimodular row and column
-    operations: U S V = D.
-
-    Returns (diag, uinv) where diag is the list of diagonal entries of D and
-    uinv is U^{-1} as a list of rows.  Only U^{-1} is tracked; the column
-    operations V are not needed by callers (coset representatives of
-    Z^d / S Z^d are U^{-1} c with c ranging over the boxes [0, |d_i|)).
-    """
-    n = len(rows)
-    m = [list(r) for r in rows]
-    uinv = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(i, j, q):
-        # row_i -= q * row_j  =>  col_j of U^{-1} += q * col_i
-        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        for r in uinv:
-            r[j] += q * r[i]
+    m = [[s[i] for s in columns] for i in range(d)]
+    v = [[int(i == j) for j in range(k)] for i in range(k)]
 
     def swap_cols(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
 
     def add_col(i, j, q):
-        # col_i -= q * col_j (no tracking needed)
+        # col_i -= q * col_j, in S and in V alike
         for r in m:
             r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
 
-    for k in range(n):
+    for p in range(k):
         while True:
             best = None
-            for i in range(k, n):
-                for j in range(k, n):
+            for i in range(p, d):
+                for j in range(p, k):
                     if m[i][j] and (best is None or abs(m[i][j]) < best[0]):
                         best = (abs(m[i][j]), i, j)
             if best is None:
                 break
             _, bi, bj = best
-            if bi != k:
-                swap_rows(k, bi)
-            if bj != k:
-                swap_cols(k, bj)
+            if bi != p:
+                m[p], m[bi] = m[bi], m[p]
+            if bj != p:
+                swap_cols(p, bj)
             done = True
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    add_row(i, k, m[i][k] // m[k][k])
-                    if m[i][k]:
+            for i in range(p + 1, d):
+                if m[i][p]:
+                    q = m[i][p] // m[p][p]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[p])]
+                    if m[i][p]:
                         done = False
-            for j in range(k + 1, n):
-                if m[k][j]:
-                    add_col(j, k, m[k][j] // m[k][k])
-                    if m[k][j]:
+            for j in range(p + 1, k):
+                if m[p][j]:
+                    add_col(j, p, m[p][j] // m[p][p])
+                    if m[p][j]:
                         done = False
-            if done and all(m[i][k] == 0 for i in range(k + 1, n)) \
-                    and all(m[k][j] == 0 for j in range(k + 1, n)):
+            if done and all(m[i][p] == 0 for i in range(p + 1, d)) \
+                    and all(m[p][j] == 0 for j in range(p + 1, k)):
                 break
-    return [m[i][i] for i in range(n)], uinv
-
-
-def matvec(rows, v):
-    return tuple(dot(r, v) for r in rows)
+    return [m[i][i] for i in range(k)], v

@@ -3,8 +3,8 @@
 Everything here decides by definition: subset scans for cliques, covers and
 colourings, perfection as chromatic = clique number on every induced
 subgraph, lattice scans plus exact LP membership for cone questions,
-basic solutions for the vertices of a polyhedron, and the tight-facet rank
-for extreme rays.
+basic solutions for the vertices of a polyhedron, the tight-facet rank
+for extreme rays, and Fraction elimination for coordinates over a simplex.
 None of it shares code paths with the double description, triangulation or
 simplex machinery it cross-checks (LP feasibility is the one shared
 primitive, and the facet/Hilbert computations never call it).
@@ -173,6 +173,34 @@ def brute_lattice_points_dilation(points, b, membership):
     hi = [b * max(p[i] for p in points) for i in range(dim)]
     return [z for z in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
             if membership(z)]
+
+
+def solve_columns(columns, target):
+    """Solve sum_j t_j * columns[j] = target for a full-column-rank family
+    by Fraction elimination.  Returns the coefficient tuple, or None when
+    the columns are dependent or the system is inconsistent."""
+    d = len(target)
+    k = len(columns)
+    a = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
+         for i in range(d)]
+    pivots = []
+    row = 0
+    for col in range(k):
+        piv = next((i for i in range(row, d) if a[i][col]), None)
+        if piv is None:
+            return None
+        a[row], a[piv] = a[piv], a[row]
+        lead = a[row][col]
+        a[row] = [x / lead for x in a[row]]
+        for i in range(d):
+            if i != row and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        pivots.append(row)
+        row += 1
+    if any(a[i][k] for i in range(row, d)):
+        return None
+    return tuple(a[r][k] for r in pivots)
 
 
 def rank_filtered_extreme_rays(cone):

@@ -1,14 +1,15 @@
 import pytest
 
-from covercones import (InputError, MonomialGenerator, clique_lift_set,
-                        cover_ideal, edge_clutter, ehrhart_equality,
-                        gorenstein_check, is_rees_normal,
+from covercones import (InputError, IntegerCone, MonomialGenerator,
+                        clique_lift_set, cover_ideal, edge_clutter,
+                        ehrhart_equality, gorenstein_check, hilbert_basis,
+                        is_rees_normal, is_unmixed, lattice_points_dilation,
                         maximal_independent_sets, rees_cone,
                         semigroup_member, simis_cone, simis_hilbert_basis,
                         symbolic_generators_perfect)
 
 from corpus import (complete_bipartite, complete_graph, cycle_graph,
-                    path_graph, paw_graph)
+                    path_graph, paw_graph, small_graph_corpus)
 
 
 def edge_ideal(G):
@@ -126,10 +127,47 @@ def test_ehrhart_equality_fixtures():
               for s in maximal_independent_sets(cycle_graph(4))]
     assert ehrhart_equality(c4_mis).verdict is True
     # triangle edge set: Hilbert basis of the lifted cone equals the lift
-    # set (the dilation scan is the oracle and is recorded in the report)
+    # set, and x0 is the unique solution of <v_i, x0> = 1
     report = ehrhart_equality([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
     assert report.verdict is True
-    assert report.certificate["dilation_scan"][1]["missed"] == []
+    assert report.certificate == {"x0": ("1/2", "1/2", "1/2")}
+
+
+def test_ehrhart_equality_against_dilation_scan():
+    """The oracle: every lattice point of b * conv(v_i) is a sum of b
+    generators, for b up to the basis's largest t-degree (at least 2), when
+    the verdict is true; a false verdict's witness is such a point that the
+    membership search refuses."""
+    unmixed = [cover_ideal(edge_clutter(G)) for G in small_graph_corpus()
+               if is_unmixed(edge_clutter(G))]
+    assert len(unmixed) == 13
+    c4_mis = [tuple(1 if v in s else 0 for v in range(1, 5))
+              for s in maximal_independent_sets(cycle_graph(4))]
+    ideals = [[(1, 1, 1)], c4_mis, [(1, 1, 0), (0, 1, 1), (1, 0, 1)],
+              [(1, 0)], [(2, 0), (0, 2)]] + unmixed
+    verdicts = []
+    for ideal in ideals:
+        report = ehrhart_equality(ideal)
+        verdicts.append(report.verdict)
+        lifts = [tuple(v) + (1,) for v in ideal]
+        grading = (1,) * len(lifts[0])
+
+        def reached(p, b):
+            return semigroup_member(tuple(p) + (b,), lifts, grading).member
+
+        if report.verdict:
+            hb = hilbert_basis(IntegerCone.from_generators(len(grading),
+                                                           lifts))
+            top = max(2, max(e[-1] for e in hb.elements))
+            for b in range(1, top + 1):
+                assert all(reached(p, b)
+                           for p in lattice_points_dilation(ideal, b)), \
+                    (ideal, b)
+        else:
+            *p, b = report.witness["hilbert_basis_element"]
+            assert tuple(p) in lattice_points_dilation(ideal, b)
+            assert not reached(p, b)
+    assert verdicts == [True] * 4 + [False] + [True] * 13
 
 
 def test_ehrhart_equality_detects_gaps():

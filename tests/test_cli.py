@@ -172,6 +172,16 @@ def test_gorenstein_scan_bound_below_two_is_rejected(write, capsys):
     assert code == 0 and report["primary_verdict"] is False
 
 
+def test_empty_tdi_oracle_box_is_rejected(write, capsys):
+    path = write("triangle.mat", "matrix { 1 1 0 ; 0 1 1 ; 1 0 1 }\n")
+    assert main(["tdi-oracle", path, "--alpha-box", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err + captured.out
+    code, report = run_json(capsys, ["tdi-oracle", path, "--alpha-box", "1"])
+    assert code == 0 and report["primary_verdict"] is False
+
+
 def test_hilbert_basis_command_monomials(write, capsys):
     path = write("k2.graph", "graph { a-b }\n")
     code, report = run_json(capsys, ["hilbert-basis", path, "--cone", "simis"])
