@@ -10,8 +10,9 @@ oracle partner at small scale.
 
 from .blowup import (MonomialGenerator, ReesConeModel, SimisConeModel,
                      clique_lift_set, ehrhart_equality, gorenstein_check,
-                     is_rees_normal, rees_cone, simis_cone,
-                     simis_hilbert_basis, symbolic_generators_perfect)
+                     is_rees_normal, rees_cone, rees_hilbert_basis,
+                     simis_cone, simis_hilbert_basis,
+                     symbolic_generators_perfect)
 from .checks import (balanced_check, balanced_oracle, clique_halfspaces,
                      cm_height_two_normal, dual_balanced_normal, mfmc_check,
                      perfect_matrix_check, perfect_via_odd_holes,
@@ -19,16 +20,15 @@ from .checks import (balanced_check, balanced_oracle, clique_halfspaces,
 from .clutters import (Clutter, Graph, IncidenceMatrix, all_cliques, blocker,
                        clique_equalization, complement, contraction,
                        cover_ideal, cover_ideal_of_complement, deletion,
-                       dual_ideal, edge_clutter, graph_chordless_cycles,
-                       incidence_matrix, is_chordal, is_unmixed,
-                       maximal_cliques, maximal_independent_sets,
-                       minimal_vertex_covers, vertex_clique_matrix)
+                       dual_ideal, edge_clutter, incidence_matrix,
+                       is_chordal, is_unmixed, maximal_cliques,
+                       maximal_independent_sets, minimal_vertex_covers,
+                       vertex_clique_matrix)
 from .cones import (Halfspace, HilbertBasis, HRepPolyhedron, IntegerCone,
-                    SemigroupMembership, cone_membership_lp,
-                    extreme_rays_of_halfspaces, facets_of_generators,
-                    hilbert_basis, irredundancy_witnesses, is_integral,
+                    SemigroupMembership, extreme_rays_of_halfspaces,
+                    facets_of_generators, hilbert_basis, is_integral,
                     lattice_points_dilation, make_halfspace, polyhedron,
-                    recession_rays, semigroup_member, vertices)
+                    semigroup_member, vertices)
 from .errors import (CapExceededError, DegenerateMinorError, InfeasibleError,
                      InputError, NoGradingError, NotPointedError)
 from .lp import (ILPResult, LinearProgram, LPResult, make_lp, solve,

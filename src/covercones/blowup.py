@@ -21,7 +21,7 @@ from itertools import product
 from .clutters import (Clutter, all_cliques, cover_ideal, edge_clutter,
                        is_unmixed, minimal_vertex_covers)
 from .cones import (HILBERT_DIM_CAP, IntegerCone, hilbert_basis,
-                    make_halfspace)
+                    make_halfspace, require_hilbert_dim)
 from .errors import InputError
 from .linalg import dot
 from .lp import GE, EQ, LE, OPTIMAL, make_lp, solve
@@ -112,6 +112,8 @@ def is_rees_normal(ideal, dim_cap=HILBERT_DIM_CAP):
     point of the cone that no combination reaches; its budget is the entry
     sum, the all-ones degree that bounds any combination.
     """
+    ideal = _validated_ideal(ideal)
+    require_hilbert_dim(len(ideal[0]) + 1, dim_cap)
     model = rees_cone(ideal)
     hb = hilbert_basis(model.cone, dim_cap=dim_cap)
     first_index = {}
@@ -164,7 +166,14 @@ def simis_cone(ideal):
         cone=IntegerCone.from_halfspaces(n + 1, hs))
 
 
+def rees_hilbert_basis(ideal, dim_cap=HILBERT_DIM_CAP):
+    ideal = _validated_ideal(ideal)
+    require_hilbert_dim(len(ideal[0]) + 1, dim_cap)
+    return hilbert_basis(rees_cone(ideal).cone, dim_cap=dim_cap)
+
+
 def simis_hilbert_basis(ideal, dim_cap=HILBERT_DIM_CAP):
+    require_hilbert_dim(clutter_of_ideal(ideal).n + 1, dim_cap)
     return hilbert_basis(simis_cone(ideal).cone, dim_cap=dim_cap)
 
 
@@ -226,6 +235,7 @@ def ehrhart_equality(ideal, dim_cap=HILBERT_DIM_CAP):
         raise InputError("no positive x0 with <v_i, x0> = 1 exists")
     x0 = res.primal[:n]
 
+    require_hilbert_dim(n + 1, dim_cap)
     lifts = [v + (1,) for v in ideal]
     cone = IntegerCone.from_generators(n + 1, lifts)
     hb = hilbert_basis(cone, dim_cap=dim_cap)

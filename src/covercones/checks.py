@@ -155,14 +155,15 @@ def tdi_oracle(A, alpha_lo=-2, alpha_hi=None):
     """Definitional TDI cross-check on a small matrix: for every integral
     objective alpha in the recorded box with a finite covering minimum, the
     covering dual must have an integral optimum.  Bounded verification; the
-    boxes are part of the report, and an empty alpha box is an input error
-    because it checks nothing."""
+    boxes are part of the report, and an alpha box without a non-zero
+    objective is an input error: alpha = 0 alone proves nothing."""
     n, cols = _columns_of(A)
     q = len(cols)
     if alpha_hi is None:
         alpha_hi = max(sum(col[i] for col in cols) for i in range(n))
-    if alpha_lo > alpha_hi:
-        raise InputError(f"empty alpha box [{alpha_lo}, {alpha_hi}]")
+    if alpha_lo > alpha_hi or alpha_lo == alpha_hi == 0:
+        raise InputError(f"alpha box [{alpha_lo}, {alpha_hi}] holds no "
+                         f"non-zero objective")
     max_alpha = max(abs(alpha_lo), abs(alpha_hi))
     row_max = max((sum(col) for col in cols), default=0)
     y_hi = max_alpha + row_max

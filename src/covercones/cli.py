@@ -20,7 +20,7 @@ import time
 from . import blowup, checks
 from .clutters import (all_cliques, blocker, clique_equalization, cover_ideal,
                        edge_clutter, maximal_cliques, minimal_vertex_covers)
-from .cones import HILBERT_DIM_CAP, hilbert_basis
+from .cones import HILBERT_DIM_CAP
 from .errors import CapExceededError, InputError
 from .report import _plain
 from .textio import format_inequality, parse_input, read_labels
@@ -129,11 +129,10 @@ def _cmd_simis_cone(doc, cfg):
 def _cmd_hilbert_basis(doc, cfg):
     if cfg["cone"] == "rees":
         ideal, origin = _cover_side_ideal(doc)
-        cone = blowup.rees_cone(ideal).cone
+        hb = blowup.rees_hilbert_basis(ideal, dim_cap=cfg["hb_dim_cap"])
     else:
         ideal, origin = _edge_side_ideal(doc)
-        cone = blowup.simis_cone(ideal).cone
-    hb = hilbert_basis(cone, dim_cap=cfg["hb_dim_cap"])
+        hb = blowup.simis_hilbert_basis(ideal, dim_cap=cfg["hb_dim_cap"])
     return [
         data("ideal", {"origin": origin, "generators": ideal}),
         data("hilbert_basis", [{"vector": e, "monomial": _monomial(e)}
@@ -287,7 +286,8 @@ def _build_parser():
                         help="vertex cap of check-perfect's cone path")
     parser.add_argument("--hb-dim-cap", type=int, default=HILBERT_DIM_CAP)
     parser.add_argument("--alpha-box", type=int, default=None,
-                        help="symmetric objective box for tdi-oracle")
+                        help="symmetric objective box for tdi-oracle, "
+                             "at least 1")
     parser.add_argument("--scan-bound", type=int, default=None,
                         help="t-degree bound of the Gorenstein interior "
                              "scan, at least 2")

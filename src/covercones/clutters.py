@@ -152,9 +152,6 @@ class IncidenceMatrix:
     def q(self):
         return len(self.columns)
 
-    def rows(self):
-        return tuple(tuple(col[i] for col in self.columns) for i in range(self.n))
-
 
 # ---------------------------------------------------------------------------
 # clutters from graphs, complements, duality
@@ -339,33 +336,33 @@ def deletion(C, v):
 def clique_equalization(G):
     """Grow G until all maximal cliques have the same size.
 
-    Repeatedly takes a lowest-size maximal clique C (lexicographically first
-    among ties) and adds a new vertex adjacent exactly to C, so that the
-    maximal clique family changes by replacing C with C + {z}.  Returns the
-    grown graph and the list of added vertices.  Intended for perfect G;
-    perfection is the caller's responsibility and is not checked here.
+    Repeatedly takes the lowest maximal clique C, by size and then
+    lexicographically, and adds a new vertex z adjacent exactly to C.  The
+    maximal cliques change by replacing C with C + {z}: C is no longer
+    maximal, and z extends no other maximal clique.  So one pass over the
+    clique list predicts the grown graph's cliques, and one clique search
+    checks the prediction.  Returns the grown graph and the list of added
+    vertices.  Intended for perfect G; perfection is the caller's
+    responsibility and is not checked here.
     """
-    cliques = maximal_cliques(G)
+    cliques = [(len(c), c) for c in maximal_cliques(G)]
     if not cliques:
         return G, []
-    sizes = [len(c) for c in cliques]
-    cap = G.n * (max(sizes) - min(sizes)) + 1
-    H = G
+    top = max(cliques)[0]
+    edges = list(G.edges)
     added = []
-    for _ in range(cap):
-        cliques = maximal_cliques(H)
-        sizes = [len(c) for c in cliques]
-        if min(sizes) == max(sizes):
-            return H, added
-        target = min((c for c in cliques if len(c) == min(sizes)))
-        z = H.n + 1
-        H2 = Graph(H.n + 1, list(H.edges) + [(u, z) for u in target])
-        expected = sorted([c for c in cliques if c != target] + [target + (z,)])
-        if maximal_cliques(H2) != expected:
-            raise RuntimeError("clique equalization step changed unrelated cliques")
-        H = H2
+    while (lowest := min(cliques))[0] < top:
+        cliques.remove(lowest)
+        size, low = lowest
+        z = G.n + len(added) + 1
+        edges.extend((u, z) for u in low)
+        cliques.append((size + 1, low + (z,)))
         added.append(z)
-    raise RuntimeError("clique equalization did not converge within its cap")
+    H = Graph(G.n + len(added), edges)
+    if maximal_cliques(H) != sorted(c for _, c in cliques):
+        raise AssertionError(
+            "clique equalization changed unrelated maximal cliques")
+    return H, added
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +426,6 @@ def chordless_cycles(n, adjacency, min_len=4, budget=None):
                 else:
                     stack.append((path + (v,), mask | vb,
                                   adjacency[v] & higher & ~mask))
-
-
-def graph_chordless_cycles(G, min_len=4):
-    return list(chordless_cycles(G.n, G.adj, min_len))
 
 
 def is_chordal(G):

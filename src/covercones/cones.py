@@ -2,13 +2,14 @@
 
 The central object is IntegerCone, a pointed-or-not rational cone carried in
 dual form: an integer generator list and an irredundant list of primitive
-facet normals.  Conversions between the two descriptions run the double
-description method in exact integer arithmetic; the insertion order sorts
-constraints by increasing number of zero entries (a mild anti-blowup
-heuristic) and the final output is canonically sorted, so it never depends
-on that order.  It is the one polyhedral engine: the vertices of an affine
-polyhedron are the rays of its homogenization, and the lattice points of a
-dilated polytope are tested against the facets of the cone over it.
+facet normals, both fixed when the cone is built.  Conversions between the
+two descriptions run the double description method in exact integer
+arithmetic; the insertion order sorts constraints by increasing number of
+zero entries (a mild anti-blowup heuristic) and the final output is
+canonically sorted, so it never depends on that order.  It is the one
+polyhedral engine: the vertices of an affine polyhedron are the rays of its
+homogenization, and the lattice points of a dilated polytope are tested
+against the facets of the cone over it.
 
 Hilbert bases are computed the classical way: triangulate the cone (a
 pulling triangulation read off the cone's own ray/facet incidences, so no
@@ -27,17 +28,16 @@ Why exact arithmetic everywhere: each decision downstream is an exact
 equality of polyhedra, so a single rounding error would flip verdicts.
 """
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from . import lp
 from .errors import CapExceededError, InfeasibleError, InputError, \
     NoGradingError, NotPointedError
 from .linalg import diagonalize, dot, gcd_vec, primitive, rank_int, \
-    sign_normalized, vec_sub
+    sign_normalized, solve_square, vec_sub
 from .report import ORACLE, CheckReport
 
 HILBERT_DIM_CAP = 10
@@ -152,31 +152,6 @@ def _dd_pair(dim, normals):
     return [(tuple(vec), mask) for vec, mask in rays], lineality
 
 
-def _orthogonal_reduce(vec, basis):
-    """Canonical representative of vec modulo span(basis): the orthogonal
-    projection away from the span, rescaled to a primitive integer vector."""
-    v = [Fraction(x) for x in vec]
-    bs = [[Fraction(x) for x in b] for b in basis]
-    # Gram-Schmidt on the basis, then subtract projections
-    ortho = []
-    for b in bs:
-        u = b[:]
-        for o in ortho:
-            num = sum(x * y for x, y in zip(u, o))
-            den = sum(x * x for x in o)
-            u = [x - num / den * y for x, y in zip(u, o)]
-        if any(u):
-            ortho.append(u)
-    for o in ortho:
-        num = sum(x * y for x, y in zip(v, o))
-        den = sum(x * x for x in o)
-        v = [x - num / den * y for x, y in zip(v, o)]
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return primitive(tuple(int(x * den) for x in v))
-
-
 def extreme_rays_of_halfspaces(dim, halfspaces):
     """Primitive extreme rays of a pointed cone given by homogeneous
     halfspaces.  Raises NotPointedError when a lineality direction survives."""
@@ -195,7 +170,11 @@ def facets_of_generators(dim, generators):
 
     For a full-dimensional cone this is the unique irreducible
     representation.  Lower-dimensional cones additionally need their span
-    cut out, which is returned as opposite pairs of halfspaces.
+    cut out, which is returned as opposite pairs of halfspaces.  Their polar
+    cone has a lineality space L, and each of its rays stands for a facet
+    normal only modulo L; the normal reported is the canonical
+    representative v - L^T (L L^T)^{-1} L v, orthogonal to L, solved
+    exactly and scaled to a primitive integer vector.
     """
     gens = []
     for g in generators:
@@ -205,10 +184,16 @@ def facets_of_generators(dim, generators):
     if not gens:
         raise InputError("empty generator list")
     rays, lineality = _dd_pair(dim, gens)
+    gram = [[dot(l, m) for m in lineality] for l in lineality]
     out = []
     for vec, _ in rays:
         if lineality:
-            vec = _orthogonal_reduce(vec, lineality)
+            lam = solve_square(gram, [dot(l, vec) for l in lineality])
+            den = lcm(*(x.denominator for x in lam))
+            coef = [int(den * x) for x in lam]
+            vec = primitive(tuple(
+                den * x - sum(c * l[i] for c, l in zip(coef, lineality))
+                for i, x in enumerate(vec)))
         out.append(make_halfspace(vec))
     for l in lineality:
         l = sign_normalized(primitive(l))
@@ -227,33 +212,42 @@ def facets_of_generators(dim, generators):
 class IntegerCone:
     """Rational polyhedral cone with integer generators and facets.
 
-    Construct from generators, from halfspaces, or both; the missing
-    description is computed lazily (compute-once under a lock, so concurrent
-    readers observe a single consistent value).
+    Construct from generators or from halfspaces, not both.  The other
+    description is computed at construction, so a cone is an immutable
+    value: an H-described cone takes the DD rays (plus lineality pairs) of
+    its halfspaces as generators, and every cone takes the facets of its
+    generators, so the facet list is irredundant even when the given
+    halfspaces were not.  Only the extreme rays wait until first asked for.
     """
 
     def __init__(self, dim, generators=None, halfspaces=None):
         if generators is None and halfspaces is None:
             raise InputError("a cone needs generators or halfspaces")
+        if generators is not None and halfspaces is not None:
+            raise InputError("a cone takes generators or halfspaces, not both")
         self.dim = dim
-        self._generators = None
-        if generators is not None:
-            self._generators = tuple(tuple(int(x) for x in g) for g in generators)
-            if any(not any(g) for g in self._generators):
-                raise InputError("zero vector among generators")
-            if any(len(g) != dim for g in self._generators):
-                raise InputError("generator dimension mismatch")
-        self._facets = None
-        if halfspaces is not None:
-            self._facets = tuple(
-                h if isinstance(h, Halfspace) else make_halfspace(h)
-                for h in halfspaces)
-            if any(len(h.normal) != dim or h.rhs != 0 for h in self._facets):
-                raise InputError("halfspace dimension mismatch or affine rhs")
-        self._given_halfspaces = self._facets
-        self._irredundant = generators is not None and halfspaces is None
         self._extreme = None
-        self._lock = threading.Lock()
+        if halfspaces is not None:
+            hs = tuple(h if isinstance(h, Halfspace) else make_halfspace(h)
+                       for h in halfspaces)
+            if any(len(h.normal) != dim or h.rhs != 0 for h in hs):
+                raise InputError("halfspace dimension mismatch or affine rhs")
+            generators = sorted(
+                extreme_rays_of_halfspaces_or_lineality(dim, hs))
+        self._generators = tuple(tuple(int(x) for x in g) for g in generators)
+        if any(not any(g) for g in self._generators):
+            raise InputError("zero vector among generators")
+        if any(len(g) != dim for g in self._generators):
+            raise InputError("generator dimension mismatch")
+        if self._generators or halfspaces is None:
+            self._facets = tuple(facets_of_generators(dim, self._generators))
+        else:
+            # the zero cone: cut out by opposite coordinate pairs
+            units = [tuple(int(i == j) for j in range(dim))
+                     for i in range(dim)]
+            self._facets = tuple(sorted(
+                make_halfspace(s) for u in units
+                for s in (u, tuple(-x for x in u))))
 
     @classmethod
     def from_generators(cls, dim, generators):
@@ -265,33 +259,12 @@ class IntegerCone:
 
     @property
     def facets(self):
-        """Irredundant primitive facet list (canonically sorted).  An
-        H-described cone gets it from its own generators."""
-        if self._facets is None or not self._irredundant:
-            gens = self.generators      # before the lock, which it takes too
-            with self._lock:
-                if self._facets is None or not self._irredundant:
-                    if gens or self._given_halfspaces is None:
-                        self._facets = tuple(
-                            facets_of_generators(self.dim, gens))
-                    else:
-                        # the zero cone: cut out by opposite coordinate pairs
-                        units = [tuple(int(i == j) for j in range(self.dim))
-                                 for i in range(self.dim)]
-                        self._facets = tuple(sorted(
-                            make_halfspace(s) for u in units
-                            for s in (u, tuple(-x for x in u))))
-                    self._irredundant = True
+        """Irredundant primitive facet list (canonically sorted)."""
         return self._facets
 
     @property
     def generators(self):
-        with self._lock:
-            if self._generators is None:
-                self._generators = tuple(sorted(
-                    extreme_rays_of_halfspaces_or_lineality(
-                        self.dim, self._given_halfspaces)))
-            return self._generators
+        return self._generators
 
     def extreme_rays(self):
         """Primitive extreme rays; requires a pointed cone.
@@ -328,8 +301,8 @@ class IntegerCone:
         return all(h.strictly_holds(point) for h in self.facets)
 
     def __repr__(self):
-        gens = "?" if self._generators is None else len(self._generators)
-        return f"IntegerCone(dim={self.dim}, generators={gens})"
+        return (f"IntegerCone(dim={self.dim}, "
+                f"generators={len(self._generators)})")
 
 
 def extreme_rays_of_halfspaces_or_lineality(dim, halfspaces):
@@ -425,14 +398,19 @@ class HilbertBasis:
     cone: IntegerCone
 
 
+def require_hilbert_dim(dim, dim_cap=HILBERT_DIM_CAP):
+    """Refuse a dimension past the Hilbert basis cap.  A caller that builds
+    a cone only for its Hilbert basis asks first, because building the cone
+    runs the double description, which a refused input should not pay."""
+    if dim > dim_cap:
+        raise CapExceededError(
+            f"Hilbert basis capped at dimension {dim_cap}, got {dim}")
+
+
 def hilbert_basis(cone, dim_cap=HILBERT_DIM_CAP):
     """Minimal integer generating set of all lattice points of a pointed
     cone.  Independent of the triangulation used internally."""
-    if cone.dim > dim_cap:
-        raise CapExceededError(
-            f"Hilbert basis capped at dimension {dim_cap}, got {cone.dim}")
-    if not cone.is_pointed():
-        raise NotPointedError("Hilbert basis requires a pointed cone")
+    require_hilbert_dim(cone.dim, dim_cap)
     rays = cone.extreme_rays()
     if not rays:
         return HilbertBasis(elements=(), cone=cone)
@@ -491,9 +469,7 @@ def positive_grading(generators):
     res = lp.solve(prog)
     if res.status != lp.OPTIMAL:
         raise NoGradingError("generators admit no positive grading functional")
-    den = 1
-    for x in res.primal:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in res.primal))
     return tuple(int(x * den) for x in res.primal)
 
 
@@ -584,14 +560,6 @@ def vertices(P):
     return [] if lineality else points
 
 
-def recession_rays(P):
-    """Extreme rays of the recession cone (reported separately from the
-    vertices); empty for a bounded polyhedron."""
-    rec = IntegerCone.from_halfspaces(
-        P.dim, [make_halfspace(h.normal) for h in P.halfspaces])
-    return list(rec.extreme_rays())
-
-
 def is_integral(P):
     """Vertex integrality report with a fractional-vertex witness."""
     verts = vertices(P)
@@ -621,33 +589,3 @@ def lattice_points_dilation(points, b):
     hi = [b * max(p[i] for p in points) for i in range(dim)]
     return [z for z in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
             if cone.contains(z + (b,))]
-
-
-def cone_membership_lp(generators, point):
-    """Membership of a point in cone(generators) by exact LP feasibility.
-    Independent of the double description path; used as an oracle."""
-    dim = len(point)
-    rows = [[g[i] for g in generators] for i in range(dim)]
-    prog = lp.make_lp(
-        objective=[0] * len(generators),
-        rows=rows, rhs=list(point), senses=[lp.EQ] * dim)
-    return lp.feasible(prog)
-
-
-def irredundancy_witnesses(dim, halfspaces):
-    """For each halfspace, an exact point satisfying all the others but
-    violating it; existence of every witness proves the list irredundant."""
-    out = []
-    for k, h in enumerate(halfspaces):
-        others = [o for i, o in enumerate(halfspaces) if i != k]
-        prog = lp.make_lp(
-            objective=[0] * dim,
-            rows=[list(o.normal) for o in others] + [list(h.normal)],
-            rhs=[o.rhs for o in others] + [h.rhs - 1],
-            senses=[lp.GE] * len(others) + [lp.LE],
-            nonneg=[False] * dim)
-        res = lp.solve(prog)
-        if res.status != lp.OPTIMAL:
-            return None, k
-        out.append(res.primal)
-    return out, None

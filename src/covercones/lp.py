@@ -258,15 +258,6 @@ def _verify_optimal(lp, value, x, y):
         raise AssertionError("strong duality failed")
 
 
-def feasible(lp):
-    """Feasibility check (the objective is ignored)."""
-    probe = LinearProgram(
-        objective=tuple(Fraction(0) for _ in lp.objective),
-        rows=lp.rows, rhs=lp.rhs, senses=lp.senses,
-        nonneg=lp.nonneg, maximize=False)
-    return solve(probe).status == OPTIMAL
-
-
 @dataclass(frozen=True)
 class ILPResult:
     status: str

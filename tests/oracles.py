@@ -4,18 +4,24 @@ Everything here decides by definition: subset scans for cliques, covers and
 colourings, perfection as chromatic = clique number on every induced
 subgraph, lattice scans plus exact LP membership for cone questions,
 basic solutions for the vertices of a polyhedron, the tight-facet rank
-for extreme rays, and Fraction elimination for coordinates over a simplex.
-None of it shares code paths with the double description, triangulation or
-simplex machinery it cross-checks (LP feasibility is the one shared
-primitive, and the facet/Hilbert computations never call it).
+for extreme rays, Fraction elimination for coordinates over a simplex, and
+Gram-Schmidt for the facet normals of a lower-dimensional cone.  None of it
+shares code paths with the double description, triangulation or simplex
+machinery it cross-checks (LP feasibility is the one shared primitive, and
+the facet/Hilbert computations never call it), except two helpers built on
+the package's own cones: recession_rays, and the Gram-Schmidt reference,
+which projects the package's DD rays because what it checks is the
+projection.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from covercones import (CapExceededError, CheckReport, InfeasibleError,
-                        cone_membership_lp, lp, maximal_cliques)
-from covercones.linalg import dot, primitive, rank_int
+                        IntegerCone, lp, make_halfspace, maximal_cliques)
+from covercones.cones import _dd_pair
+from covercones.linalg import dot, primitive, rank_int, sign_normalized
 from covercones.report import ORACLE
 
 PERFECTION_ORACLE_CAP = 9
@@ -223,7 +229,7 @@ def brute_vertices(P):
         rhs=[h.rhs for h in P.halfspaces],
         senses=[lp.GE] * len(P.halfspaces),
         nonneg=[False] * P.dim)
-    if not lp.feasible(prog):
+    if not feasible(prog):
         raise InfeasibleError("polyhedron is empty")
     cons = [(h.normal, h.rhs) for h in P.halfspaces]
     d = P.dim
@@ -263,3 +269,90 @@ def brute_vertices(P):
 
     rec(0, [])
     return sorted(found)
+
+
+def feasible(prog):
+    """Feasibility of a linear program (the objective is ignored)."""
+    probe = lp.LinearProgram(
+        objective=tuple(Fraction(0) for _ in prog.objective),
+        rows=prog.rows, rhs=prog.rhs, senses=prog.senses,
+        nonneg=prog.nonneg, maximize=False)
+    return lp.solve(probe).status == lp.OPTIMAL
+
+
+def cone_membership_lp(generators, point):
+    """Membership of a point in cone(generators) by exact LP feasibility,
+    independent of the double description path."""
+    dim = len(point)
+    rows = [[g[i] for g in generators] for i in range(dim)]
+    prog = lp.make_lp(
+        objective=[0] * len(generators),
+        rows=rows, rhs=list(point), senses=[lp.EQ] * dim)
+    return feasible(prog)
+
+
+def irredundancy_witnesses(dim, halfspaces):
+    """For each halfspace, an exact point satisfying all the others but
+    violating it; existence of every witness proves the list irredundant."""
+    out = []
+    for k, h in enumerate(halfspaces):
+        others = [o for i, o in enumerate(halfspaces) if i != k]
+        prog = lp.make_lp(
+            objective=[0] * dim,
+            rows=[list(o.normal) for o in others] + [list(h.normal)],
+            rhs=[o.rhs for o in others] + [h.rhs - 1],
+            senses=[lp.GE] * len(others) + [lp.LE],
+            nonneg=[False] * dim)
+        res = lp.solve(prog)
+        if res.status != lp.OPTIMAL:
+            return None, k
+        out.append(res.primal)
+    return out, None
+
+
+def recession_rays(P):
+    """Extreme rays of the recession cone of a polyhedron; empty for a
+    bounded one."""
+    rec = IntegerCone.from_halfspaces(
+        P.dim, [make_halfspace(h.normal) for h in P.halfspaces])
+    return list(rec.extreme_rays())
+
+
+def orthogonal_reduce(vec, basis):
+    """Canonical representative of vec modulo span(basis): the orthogonal
+    projection away from the span, rescaled to a primitive integer vector."""
+    v = [Fraction(x) for x in vec]
+    bs = [[Fraction(x) for x in b] for b in basis]
+    # Gram-Schmidt on the basis, then subtract projections
+    ortho = []
+    for b in bs:
+        u = b[:]
+        for o in ortho:
+            num = sum(x * y for x, y in zip(u, o))
+            den = sum(x * x for x in o)
+            u = [x - num / den * y for x, y in zip(u, o)]
+        if any(u):
+            ortho.append(u)
+    for o in ortho:
+        num = sum(x * y for x, y in zip(v, o))
+        den = sum(x * x for x in o)
+        v = [x - num / den * y for x, y in zip(v, o)]
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return primitive(tuple(int(x * den) for x in v))
+
+
+def gram_schmidt_facets(dim, generators):
+    """Facet halfspaces of cone(generators) with every polar DD ray reduced
+    modulo the polar lineality by Gram-Schmidt, plus the opposite pairs
+    that cut out the span: the reference for the exact projection of
+    facets_of_generators."""
+    rays, lineality = _dd_pair(dim, generators)
+    out = [make_halfspace(orthogonal_reduce(vec, lineality) if lineality
+                          else vec) for vec, _ in rays]
+    for l in lineality:
+        l = sign_normalized(primitive(l))
+        out.append(make_halfspace(l))
+        out.append(make_halfspace(tuple(-x for x in l)))
+    return sorted(set(out))

@@ -14,9 +14,9 @@ from itertools import combinations
 
 from covercones import (IntegerCone, balanced_check,
                         balanced_oracle, clique_halfspaces, clique_lift_set,
-                        cone_membership_lp, cover_ideal, dual_balanced_normal,
+                        cover_ideal, dual_balanced_normal,
                         edge_clutter, gorenstein_check, hilbert_basis,
-                        incidence_matrix, irredundancy_witnesses,
+                        incidence_matrix,
                         is_rees_normal, is_unmixed,
                         is_chordal, complement, mfmc_check,
                         perfect_matrix_check, perfect_via_rees_cone,
@@ -27,7 +27,8 @@ from covercones.cli import main
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
                     cycle_graph, is_bipartite, no_isolated,
                     random_six_vertex_corpus, small_graph_corpus, with_edges)
-from oracles import brute_hilbert_basis, is_perfect_definitional
+from oracles import (brute_hilbert_basis, cone_membership_lp,
+                     irredundancy_witnesses, is_perfect_definitional)
 
 
 @contextmanager

@@ -1,11 +1,12 @@
 import pytest
 
-from covercones import (InputError, IntegerCone, MonomialGenerator,
-                        clique_lift_set, cover_ideal, edge_clutter,
-                        ehrhart_equality, gorenstein_check, hilbert_basis,
-                        is_rees_normal, is_unmixed, lattice_points_dilation,
-                        maximal_independent_sets, rees_cone,
-                        semigroup_member, simis_cone, simis_hilbert_basis,
+from covercones import (CapExceededError, InputError, IntegerCone,
+                        MonomialGenerator, clique_lift_set, cover_ideal,
+                        edge_clutter, ehrhart_equality, gorenstein_check,
+                        hilbert_basis, is_rees_normal, is_unmixed,
+                        lattice_points_dilation, maximal_independent_sets,
+                        rees_cone, rees_hilbert_basis, semigroup_member,
+                        simis_cone, simis_hilbert_basis,
                         symbolic_generators_perfect)
 
 from corpus import (complete_bipartite, complete_graph, cycle_graph,
@@ -232,3 +233,21 @@ def test_paw_chain_normality_is_preserved_under_contraction():
     assert clutter_H == clutter_G
     assert is_rees_normal(ideal_H).verdict is True
     assert is_rees_normal(ideal_G).verdict is True
+
+
+def test_hilbert_basis_cap_refuses_before_a_cone_is_built(monkeypatch):
+    # a cone runs its double description when it is built, so an input
+    # past the dimension cap must be refused before that
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("cone built past the Hilbert basis cap")
+
+    monkeypatch.setattr(IntegerCone, "from_generators", unbuildable)
+    monkeypatch.setattr(IntegerCone, "from_halfspaces", unbuildable)
+    C10 = cycle_graph(10)
+    covers, edges = cover_ideal(edge_clutter(C10)), edge_ideal(C10)
+    for refused in (lambda: is_rees_normal(covers),
+                    lambda: rees_hilbert_basis(covers),
+                    lambda: simis_hilbert_basis(edges),
+                    lambda: ehrhart_equality(edges)):
+        with pytest.raises(CapExceededError):
+            refused()

@@ -115,6 +115,21 @@ def test_symbolic_gens_verifies_perfection_past_the_cone_cap(write, capsys):
     assert "odd antihole (1, 2, 3, 4, 5, 6, 7)" in err
 
 
+def test_clique_equalize_needs_more_steps_than_vertices(write, capsys):
+    # K5 plus K_{2,2,2,2} on 6..13: one maximal clique of size 5 and 16 of
+    # size 4, so sixteen vertices are added, one per small clique
+    edges = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
+    edges += [(u, v) for u in range(6, 14) for v in range(u + 1, 14)
+              if not (u % 2 == 0 and v == u + 1)]
+    path = write("k5_k2222.graph", "".join(f"{u} {v}\n" for u, v in edges))
+    code, report = run_json(capsys, ["clique-equalize", path])
+    assert code == 0
+    added, grown, cliques = (s["value"] for s in report["results"])
+    assert added == [f"z{i}" for i in range(1, 17)]
+    assert grown["n"] == 29
+    assert len(cliques) == 17 and {len(c) for c in cliques} == {5}
+
+
 def test_assert_flag_drives_exit_code(write, capsys):
     path = write("c5.graph", PENTAGON)
     assert main(["check-perfect", path, "--assert", "false"]) == 0
@@ -174,10 +189,11 @@ def test_gorenstein_scan_bound_below_two_is_rejected(write, capsys):
 
 def test_empty_tdi_oracle_box_is_rejected(write, capsys):
     path = write("triangle.mat", "matrix { 1 1 0 ; 0 1 1 ; 1 0 1 }\n")
-    assert main(["tdi-oracle", path, "--alpha-box", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert "Traceback" not in captured.err + captured.out
+    for box in ("-1", "0"):
+        assert main(["tdi-oracle", path, "--alpha-box", box]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err + captured.out
     code, report = run_json(capsys, ["tdi-oracle", path, "--alpha-box", "1"])
     assert code == 0 and report["primary_verdict"] is False
 

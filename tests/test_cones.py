@@ -5,17 +5,18 @@ import pytest
 
 from covercones import (Halfspace, HRepPolyhedron, InfeasibleError,
                         InputError, IntegerCone, NotPointedError,
-                        cone_membership_lp, edge_clutter, cover_ideal,
+                        edge_clutter, cover_ideal,
                         extreme_rays_of_halfspaces, facets_of_generators,
-                        hilbert_basis, irredundancy_witnesses, is_integral,
+                        hilbert_basis, is_integral,
                         lattice_points_dilation, make_halfspace, polyhedron,
-                        recession_rays, semigroup_member, vertices)
+                        semigroup_member, vertices)
 from covercones.errors import CapExceededError, NoGradingError
 
 from corpus import cycle_graph, small_graph_corpus
 from oracles import (brute_hilbert_basis, brute_lattice_points_dilation,
-                     brute_vertices, rank_filtered_extreme_rays,
-                     solve_columns)
+                     brute_vertices, cone_membership_lp, gram_schmidt_facets,
+                     irredundancy_witnesses, rank_filtered_extreme_rays,
+                     recession_rays, solve_columns)
 
 
 def unit(dim, i):
@@ -385,3 +386,42 @@ def test_facet_cache_is_consistent_under_threads():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+def test_cone_takes_exactly_one_description():
+    hs = [make_halfspace((1, 0)), make_halfspace((0, 1))]
+    with pytest.raises(InputError):
+        IntegerCone(2)
+    with pytest.raises(InputError):
+        IntegerCone(2, generators=[(1, 0), (0, 1)], halfspaces=hs)
+    with pytest.raises(InputError):
+        IntegerCone.from_generators(2, [])
+    quadrant = IntegerCone.from_halfspaces(2, hs)
+    assert quadrant.generators == ((0, 1), (1, 0))
+    assert quadrant.facets == tuple(sorted(hs))
+    zero = IntegerCone.from_halfspaces(1, [make_halfspace((1,)),
+                                           make_halfspace((-1,))])
+    assert zero.generators == ()
+    assert [h.normal for h in zero.facets] == [(-1,), (1,)]
+
+
+def test_lower_dimensional_facets_match_gram_schmidt_projection():
+    # the exact projection through the polar lineality's Gram matrix must
+    # give the same primitive normals as Gram-Schmidt over the rationals
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 1000:
+        dim = rng.randint(2, 6)
+        rank = rng.randint(1, dim - 1)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                 for _ in range(rank)]
+        gens = [tuple(sum(c * b[i] for c, b in zip(coef, basis))
+                      for i in range(dim))
+                for coef in ([rng.randint(-2, 3) for _ in basis]
+                             for _ in range(rng.randint(1, dim + 2)))]
+        gens = [g for g in gens if any(g)]
+        if not gens:
+            continue
+        checked += 1
+        assert facets_of_generators(dim, gens) == \
+            gram_schmidt_facets(dim, gens), gens
