@@ -16,16 +16,16 @@ x^w t^{|w|-1}.
 """
 
 from dataclasses import dataclass
-from itertools import product
-
 from .clutters import (Clutter, all_cliques, cover_ideal, edge_clutter,
                        is_unmixed, minimal_vertex_covers)
 from .cones import (HILBERT_DIM_CAP, IntegerCone, hilbert_basis,
                     make_halfspace, require_hilbert_dim)
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .linalg import dot
 from .lp import GE, EQ, LE, OPTIMAL, make_lp, solve
 from .report import THEOREM_PATH, CheckReport
+
+GORENSTEIN_WALK_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,11 @@ def is_rees_normal(ideal, dim_cap=HILBERT_DIM_CAP):
     """
     ideal = _validated_ideal(ideal)
     require_hilbert_dim(len(ideal[0]) + 1, dim_cap)
-    model = rees_cone(ideal)
+    return _normality_report(rees_cone(ideal), dim_cap)
+
+
+def _normality_report(model, dim_cap):
+    """The is_rees_normal report on a Rees cone model already built."""
     hb = hilbert_basis(model.cone, dim_cap=dim_cap)
     first_index = {}
     for i, g in enumerate(model.lift_set):
@@ -257,10 +261,24 @@ def gorenstein_check(G, scan_bound=None, dim_cap=HILBERT_DIM_CAP):
     interior lattice points of the Rees cone; it is principal on x_1..x_n t
     iff every interior lattice point reduces by (1,..,1,1) into the cone.
     The all-ones interior membership is exact; the reduction property is
-    scanned over the recorded box 1 <= a_i <= B, 2 <= b <= B.  A bound B
+    decided over the recorded box 1 <= a_i <= B, 2 <= b <= B.  A bound B
     below 2 raises InputError: that box is empty, and an empty scan proves
-    nothing.  Any B >= 2 scans (2,..,2,2), which is interior because the
+    nothing.  Any B >= 2 meets (2,..,2,2), which is interior because the
     all-ones point is.
+
+    With s = <F, (a, b)> for a facet normal F, a point is interior when
+    s >= 1 on every facet and reduces when s >= <F, ones>.  The unit
+    vectors generate the cone, so the leading entries of every F are
+    non-negative and s never decreases in any a_i.  For each t-degree b
+    the box is walked over a_1..a_n in the order of a point-by-point scan,
+    and each sub-box is bounded by its least and greatest corners: a
+    sub-box where some facet stays below 1 holds no interior point and is
+    skipped; one where no facet with <F, ones> > 1 can fall below
+    <F, ones> holds no failing point and is counted, solving the last
+    coordinate in closed form.  Any other single point is the first
+    interior point that fails to reduce.  The verdict, witness and count
+    are those of the point-by-point scan.  The walk raises CapExceededError
+    past GORENSTEIN_WALK_BUDGET nodes.
     """
     if G.isolated_vertices():
         raise InputError("cover-side operations need a graph without isolated vertices")
@@ -277,13 +295,14 @@ def gorenstein_check(G, scan_bound=None, dim_cap=HILBERT_DIM_CAP):
             name="gorenstein", verdict=None, method=THEOREM_PATH,
             reason="not unmixed",
             witness={"cover_sizes": sorted({len(c) for c in covers})})
-    ideal = cover_ideal(clutter)
-    normal = is_rees_normal(ideal, dim_cap=dim_cap)
+    require_hilbert_dim(n + 1, dim_cap)
+    model = rees_cone(cover_ideal(clutter))
+    normal = _normality_report(model, dim_cap)
     if not normal.verdict:
         return CheckReport(
             name="gorenstein", verdict=None, method=THEOREM_PATH,
             reason="Rees algebra is not normal", witness=normal.witness)
-    cone = rees_cone(ideal).cone
+    cone = model.cone
     ones = tuple([1] * (n + 1))
     if not cone.in_interior(ones):
         return CheckReport(
@@ -291,36 +310,104 @@ def gorenstein_check(G, scan_bound=None, dim_cap=HILBERT_DIM_CAP):
             witness={"all_ones_not_interior": ones},
             search_bounds={"scan_bound": bound})
 
-    # One pass per candidate: with s = <facet, (a, b)>, interiority is
-    # s >= 1 and membership of (a, b) - (1, .., 1) is s >= <facet, ones>.
-    # The t-degree 1 layer never fails (facet normals have non-negative
-    # leading entries because the unit vectors generate), so the scan
-    # starts at t-degree 2.  Facets are ordered most-binding first.
+    # The t-degree 1 layer never fails, so the walk starts at t-degree 2.
+    # Facets are ordered most-binding first; a witness names the last
+    # facet in that order that it violates.
     facets = sorted(cone.facets, key=lambda h: h.normal[-1])
-    rows = [(h.normal, dot(h.normal, ones)) for h in facets]
+    normals = [h.normal for h in facets]
+    at_ones = [dot(f, ones) for f in normals]
+    # tails[r][i]: sum of the leading entries i..n-1 of facet r, so a
+    # sub-box with a_1..a_i fixed spans s + tails[r][i] to s + B tails[r][i]
+    tails = []
+    for f in normals:
+        t = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            t[i] = t[i + 1] + f[i]
+        tails.append(t)
+    budget = GORENSTEIN_WALK_BUDGET
+    nodes = 0
+
+    def visit():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise CapExceededError(
+                f"Gorenstein box walk exceeded its budget of {budget} nodes")
+
+    def count(i, short):
+        """Interior points of the sub-box at depth i, where every facet
+        but those in `short`, (s, r) pairs still below 1, is met."""
+        visit()
+        keep = []
+        for s, r in short:
+            t = tails[r][i]
+            if s + t >= 1:
+                continue
+            if s + bound * t < 1:
+                return 0
+            keep.append((s, r))
+        if not keep:
+            return bound ** (n - i)
+        # from a_i = full on, every facet rising in a_i is met at the least
+        # corner, so those children all count the facets flat in a_i alone
+        flat = [(s, r) for s, r in keep if not normals[r][i]]
+        full = min(bound + 1, max(
+            (-((s + tails[r][i + 1] - 1) // normals[r][i])
+             for s, r in keep if normals[r][i]), default=1))
+        total = 0
+        if full <= bound:
+            total = (bound - full + 1) * (count(i + 1, flat) if flat
+                                          else bound ** (n - i - 1))
+        if i < n - 1:   # on the last coordinate the smaller a_i meet none
+            total += sum(count(i + 1, [(s + normals[r][i] * a, r)
+                                       for s, r in keep])
+                         for a in range(1, full))
+        return total
+
+    def walk(i, prefix, values):
+        """(interior points before the first failing one, that point or
+        None) over the sub-box with a_1..a_i = prefix."""
+        visit()
+        short = []
+        risky = False
+        for r, s in enumerate(values):
+            t = tails[r][i]
+            if s + bound * t < 1:
+                return 0, None
+            if s + t < at_ones[r]:
+                if at_ones[r] > 1:
+                    risky = True
+                else:
+                    short.append((s, r))
+        if not risky:
+            return count(i, short), None
+        if i == n:
+            return 1, prefix
+        scanned = 0
+        for a in range(1, bound + 1):
+            found, point = walk(i + 1, prefix + (a,),
+                                [s + f[i] * a for s, f in zip(values, normals)])
+            scanned += found
+            if point is not None:
+                return scanned, point
+        return scanned, None
+
     scanned = 0
     for b in range(2, bound + 1):
-        for a in product(*(range(1, bound + 1) for _ in range(n))):
+        values = [f[-1] * b for f in normals]
+        found, a = walk(0, (), values)
+        scanned += found
+        if a is not None:
             point = a + (b,)
-            interior = True
-            failing = None
-            for normal, at_ones in rows:
-                s = dot(normal, point)
-                if s < 1:
-                    interior = False
-                    break
-                if s < at_ones:
-                    failing = normal
-            if interior:
-                scanned += 1
-                if failing is not None:
-                    return CheckReport(
-                        name="gorenstein", verdict=False, method=THEOREM_PATH,
-                        witness={"interior_point": point,
-                                 "not_in_cone": tuple(x - 1 for x in point),
-                                 "facet": failing},
-                        search_bounds={"scan_bound": bound,
-                                       "box": f"1..{bound}"})
+            failing = [f for f, c in zip(normals, at_ones)
+                       if dot(f, point) < c]
+            return CheckReport(
+                name="gorenstein", verdict=False, method=THEOREM_PATH,
+                witness={"interior_point": point,
+                         "not_in_cone": tuple(x - 1 for x in point),
+                         "facet": failing[-1]},
+                search_bounds={"scan_bound": bound, "box": f"1..{bound}",
+                               "node_budget": budget})
     return CheckReport(
         name="gorenstein", verdict=True, method=THEOREM_PATH,
         certificate={"canonical_generator":
@@ -328,4 +415,4 @@ def gorenstein_check(G, scan_bound=None, dim_cap=HILBERT_DIM_CAP):
                      "interior_points_scanned": scanned,
                      "t_degree_one_layer": "reduces identically"},
         search_bounds={"scan_bound": bound, "box": f"1..{bound}",
-                       "grading": "t-degree"})
+                       "grading": "t-degree", "node_budget": budget})

@@ -37,7 +37,7 @@ from . import lp
 from .errors import CapExceededError, InfeasibleError, InputError, \
     NoGradingError, NotPointedError
 from .linalg import diagonalize, dot, gcd_vec, primitive, rank_int, \
-    sign_normalized, solve_square, vec_sub
+    sign_normalized, solve_square
 from .report import ORACLE, CheckReport
 
 HILBERT_DIM_CAP = 10
@@ -419,22 +419,12 @@ def hilbert_basis(cone, dim_cap=HILBERT_DIM_CAP):
     for simplex in _triangulate(rays, facets):
         candidates.update(_parallelepiped_points(simplex))
     members = sorted(candidates)
-
-    def in_cone(v):
-        return all(dot(h.normal, v) >= 0 for h in facets)
-
-    basis = []
-    for g in members:
-        reducible = False
-        for h in members:
-            if h is g:
-                continue
-            d = vec_sub(g, h)
-            if any(d) and in_cone(d):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(g)
+    # g - h lies in the cone exactly when every facet value of g is at
+    # least that of h, so each candidate's values are computed once
+    values = [tuple(dot(h.normal, g) for h in facets) for g in members]
+    basis = [g for i, (g, vg) in enumerate(zip(members, values))
+             if not any(j != i and all(x >= y for x, y in zip(vg, vh))
+                        for j, vh in enumerate(values))]
     return HilbertBasis(elements=tuple(basis), cone=cone)
 
 

@@ -13,10 +13,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def gcd_vec(v):
     g = 0
     for x in v:

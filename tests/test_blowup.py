@@ -1,16 +1,19 @@
 import pytest
 
 from covercones import (CapExceededError, InputError, IntegerCone,
-                        MonomialGenerator, clique_lift_set, cover_ideal,
-                        edge_clutter, ehrhart_equality, gorenstein_check,
-                        hilbert_basis, is_rees_normal, is_unmixed,
-                        lattice_points_dilation, maximal_independent_sets,
+                        MonomialGenerator, blowup, clique_lift_set,
+                        complement, cover_ideal, edge_clutter,
+                        ehrhart_equality, gorenstein_check, hilbert_basis,
+                        is_rees_normal, is_unmixed, lattice_points_dilation,
+                        maximal_independent_sets,
                         rees_cone, rees_hilbert_basis, semigroup_member,
                         simis_cone, simis_hilbert_basis,
                         symbolic_generators_perfect)
 
-from corpus import (complete_bipartite, complete_graph, cycle_graph,
-                    path_graph, paw_graph, small_graph_corpus)
+from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
+                    cycle_graph, no_isolated, path_graph, paw_graph,
+                    small_graph_corpus)
+from oracles import gorenstein_box_scan
 
 
 def edge_ideal(G):
@@ -215,6 +218,43 @@ def test_gorenstein_certificate_property():
     for point in product(range(1, bound + 1), repeat=4):
         if cone.in_interior(point):
             assert cone.contains(tuple(x - 1 for x in point))
+
+
+def assert_walk_matches_box_scan(G, bound):
+    report = gorenstein_check(G, scan_bound=bound)
+    scan = gorenstein_box_scan(G, bound)
+    assert report.verdict is scan.verdict, (G, bound)
+    if scan.verdict:
+        assert report.certificate["interior_points_scanned"] == \
+            scan.certificate["interior_points_scanned"], (G, bound)
+    else:
+        assert report.witness == scan.witness, (G, bound)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gorenstein_walk_matches_box_scan(n):
+    graphs = [G for G in no_isolated(all_graphs_up_to_iso(n))
+              if is_unmixed(edge_clutter(G))]
+    assert graphs
+    for G in graphs:
+        for bound in range(2, n + 1):
+            assert_walk_matches_box_scan(G, bound)
+
+
+@pytest.mark.parametrize("G, bound", [(cycle_graph(7), 3),
+                                      (complement(cycle_graph(7)), 4)])
+def test_gorenstein_walk_finds_deep_witnesses(G, bound):
+    assert gorenstein_check(G, scan_bound=bound).verdict is False
+    assert_walk_matches_box_scan(G, bound)
+
+
+def test_gorenstein_walk_budget(monkeypatch):
+    report = gorenstein_check(complete_bipartite(3, 3))
+    assert report.search_bounds["node_budget"] == \
+        blowup.GORENSTEIN_WALK_BUDGET
+    monkeypatch.setattr(blowup, "GORENSTEIN_WALK_BUDGET", 10)
+    with pytest.raises(CapExceededError, match="budget of 10 nodes"):
+        gorenstein_check(complete_bipartite(3, 3))
 
 
 def test_paw_chain_normality_is_preserved_under_contraction():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -185,6 +186,17 @@ def test_gorenstein_scan_bound_below_two_is_rejected(write, capsys):
         assert capsys.readouterr().err.startswith("error:")
     code, report = run_json(capsys, ["check-gorenstein", path])
     assert code == 0 and report["primary_verdict"] is False
+
+
+def test_gorenstein_walk_past_its_budget_exits_3(write, capsys):
+    k33 = write("k33.graph", "graph { a-d a-e a-f b-d b-e b-f c-d c-e c-f }\n")
+    start = time.perf_counter()
+    assert main(["check-gorenstein", k33, "--scan-bound", "1000"]) == 3
+    assert time.perf_counter() - start < 60
+    captured = capsys.readouterr()
+    assert captured.err == ("error: Gorenstein box walk exceeded its budget "
+                            "of 1000000 nodes\n")
+    assert captured.out == ""
 
 
 def test_empty_tdi_oracle_box_is_rejected(write, capsys):
