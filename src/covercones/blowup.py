@@ -16,13 +16,15 @@ x^w t^{|w|-1}.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+
 from .clutters import (Clutter, all_cliques, cover_ideal, edge_clutter,
                        is_unmixed, minimal_vertex_covers)
-from .cones import (HILBERT_DIM_CAP, IntegerCone, hilbert_basis,
-                    make_halfspace, require_hilbert_dim)
+from .cones import (HILBERT_DIM_CAP, Halfspace, HRepPolyhedron,
+                    IntegerCone, hilbert_basis, homogenized_rays,
+                    make_halfspace, orthant, require_hilbert_dim)
 from .errors import CapExceededError, InputError
 from .linalg import dot
-from .lp import GE, EQ, LE, OPTIMAL, make_lp, solve
 from .report import THEOREM_PATH, CheckReport
 
 GORENSTEIN_WALK_BUDGET = 1_000_000
@@ -162,9 +164,7 @@ def simis_cone(ideal):
     C = clutter_of_ideal(ideal)
     n = C.n
     covers = cover_ideal(C)
-    hs = [make_halfspace(tuple(int(i == j) for j in range(n + 1)))
-          for i in range(n + 1)]
-    hs += [make_halfspace(u + (-1,)) for u in covers]
+    hs = orthant(n + 1) + [make_halfspace(u + (-1,)) for u in covers]
     return SimisConeModel(
         covers=tuple(covers), halfspaces=tuple(hs),
         cone=IntegerCone.from_halfspaces(n + 1, hs))
@@ -216,28 +216,23 @@ def ehrhart_equality(ideal, dim_cap=HILBERT_DIM_CAP):
     algebra of the dilations of conv(v_i)?
 
     Requires a positive rational point x0 with <v_i, x0> = 1 for all i
-    (checked by LP; equal-degree inputs always have one).  Decided by the
-    Hilbert-basis criterion on the cone of the lifted generators (v_i, 1):
-    its lattice points at height b are the lattice points of b * conv(v_i),
-    so the two algebras agree exactly when every basis element is a lift.
+    (equal-degree inputs always have one).  The reported x0 is the ray sum
+    of {(x, t) : x >= 0, <v_i, x> = t} at t = 1, positive exactly when
+    some point of {x >= 0 : <v_i, x> = 1} is.  Decided by the Hilbert-basis
+    criterion on the cone of the lifted generators (v_i, 1): its lattice
+    points at height b are the lattice points of b * conv(v_i), so the two
+    algebras agree exactly when every basis element is a lift.
     """
     ideal = _validated_ideal(ideal)
     n = len(ideal[0])
-    # find x0 > 0 with <v_i, x0> = 1: maximize the floor of the entries,
-    # capped at one so the program stays bounded when a coordinate is free
-    prog = make_lp(
-        objective=[0] * n + [1],
-        rows=[list(v) + [0] for v in ideal]
-        + [[int(i == j) for j in range(n)] + [-1] for i in range(n)]
-        + [[0] * n + [1]],
-        rhs=[1] * len(ideal) + [0] * n + [1],
-        senses=[EQ] * len(ideal) + [GE] * n + [LE],
-        nonneg=[False] * n + [False],
-        maximize=True)
-    res = solve(prog)
-    if res.status != OPTIMAL or res.value <= 0:
+    level = HRepPolyhedron(n, tuple(
+        orthant(n) + [Halfspace(v, 1) for v in ideal]
+        + [Halfspace(tuple(-x for x in v), -1) for v in ideal]))
+    rays, _ = homogenized_rays(level)
+    total = [sum(vec[i] for vec in rays) for i in range(n + 1)]
+    if not total[n] or not all(total[:n]):
         raise InputError("no positive x0 with <v_i, x0> = 1 exists")
-    x0 = res.primal[:n]
+    x0 = tuple(Fraction(x, total[n]) for x in total[:n])
 
     require_hilbert_dim(n + 1, dim_cap)
     lifts = [v + (1,) for v in ideal]

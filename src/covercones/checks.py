@@ -8,20 +8,31 @@ same property by exhaustive search or LP/ILP comparison and reports
 disagreement as a failure, which is the point of the package.
 """
 
+from fractions import Fraction
+from itertools import combinations, product
+from math import ceil, lcm
+
 from .blowup import is_rees_normal, rees_cone
 from .clutters import (IncidenceMatrix, all_cliques, chordless_cycles,
                        cover_ideal, dual_ideal, edge_clutter, Graph,
                        incidence_matrix, is_chordal, complement,
                        minimal_vertex_covers)
 from .cones import (HILBERT_DIM_CAP, HRepPolyhedron, IntegerCone,
-                    Halfspace, hilbert_basis, is_integral, make_halfspace,
-                    vertices)
+                    Halfspace, hilbert_basis, homogenized_rays, is_integral,
+                    make_halfspace, orthant, vertices)
 from .errors import CapExceededError, InputError
-from .lp import GE, INFEASIBLE, OPTIMAL, make_lp, solve, solve_ilp_bounded
+from .linalg import dot
+from .lp import GE, OPTIMAL, LinearProgram, solve_ilp_bounded
 from .report import ORACLE, THEOREM_PATH, CheckReport
 
 PERFECT_CONE_CAP = 9
 HOLE_SEARCH_BUDGET = 1_000_000
+
+
+def _packing_polytope(n, cols):
+    """{x >= 0 : <x, col> <= 1 for every column}."""
+    return HRepPolyhedron(n, tuple(
+        orthant(n) + [Halfspace(tuple(-x for x in col), -1) for col in cols]))
 
 
 def _columns_of(A):
@@ -98,11 +109,7 @@ def perfect_via_odd_holes(G, budget=HOLE_SEARCH_BUDGET):
 def perfect_matrix_check(A):
     """A 0/1 matrix is perfect when {x >= 0, xA <= 1} has integral vertices
     only; the witness of failure is a fractional vertex."""
-    n, cols = _columns_of(A)
-    hs = [make_halfspace(tuple(int(i == j) for j in range(n)))
-          for i in range(n)]
-    hs += [Halfspace(tuple(-x for x in col), -1) for col in cols]
-    inner = is_integral(HRepPolyhedron(n, tuple(hs)))
+    inner = is_integral(_packing_polytope(*_columns_of(A)))
     return CheckReport(
         name="perfect-matrix", verdict=inner.verdict, method=THEOREM_PATH,
         witness=inner.witness, certificate=inner.certificate)
@@ -151,12 +158,38 @@ def tdi_check(A, dim_cap=HILBERT_DIM_CAP):
         else "matrix has negative entries; the two conditions are only sufficient")
 
 
+def _covering_minimum(n, cols):
+    """alpha -> min{1.y : Ay >= alpha, y >= 0}, or None where infeasible.
+    By LP duality this is max{<alpha, x> : x >= 0, xA <= 1}: the largest
+    <alpha, v> over the vertices of the packing polytope, unless a
+    recession ray r has <alpha, r> > 0.  One double description serves
+    every alpha."""
+    rays, _ = homogenized_rays(_packing_polytope(n, cols))
+    recession = [vec[:-1] for vec in rays if vec[-1] == 0]
+    den = lcm(*(vec[-1] for vec in rays if vec[-1] > 0))
+    scaled = [tuple(x * (den // vec[-1]) for x in vec[:-1])
+              for vec in rays if vec[-1] > 0]
+
+    def minimum(alpha):
+        if any(dot(alpha, r) > 0 for r in recession):
+            return None
+        return Fraction(max(dot(alpha, v) for v in scaled), den)
+
+    return minimum
+
+
 def tdi_oracle(A, alpha_lo=-2, alpha_hi=None):
     """Definitional TDI cross-check on a small matrix: for every integral
-    objective alpha in the recorded box with a finite covering minimum, the
-    covering dual must have an integral optimum.  Bounded verification; the
-    boxes are part of the report, and an alpha box without a non-zero
-    objective is an input error: alpha = 0 alone proves nothing."""
+    objective alpha in the recorded box with a finite covering minimum
+    L = min{1.y : Ay >= alpha, y >= 0}, some integral y must attain L.
+    Bounded verification; the boxes are part of the report, and an alpha
+    box without a non-zero objective is an input error: alpha = 0 alone
+    proves nothing.
+
+    The box 0 <= y_j <= y_hi holds an integral optimum when the matrix is
+    non-negative.  With negative entries the box of alpha also reaches
+    ceil(L), since an integral y of cost L has every entry at most L.
+    """
     n, cols = _columns_of(A)
     q = len(cols)
     if alpha_hi is None:
@@ -167,27 +200,32 @@ def tdi_oracle(A, alpha_lo=-2, alpha_hi=None):
     max_alpha = max(abs(alpha_lo), abs(alpha_hi))
     row_max = max((sum(col) for col in cols), default=0)
     y_hi = max_alpha + row_max
-    rows = [[col[i] for col in cols] for i in range(n)]  # A y as rows
-    from itertools import product
+    nonneg_entries = all(x >= 0 for col in cols for x in col)
+    covering = _covering_minimum(n, cols)
+    rows = tuple(tuple(col[i] for col in cols) for i in range(n))  # A y
+    widest = y_hi
     checked = 0
     for alpha in product(range(alpha_lo, alpha_hi + 1), repeat=n):
-        prog = make_lp([1] * q, rows, list(alpha), [GE] * n)
-        res = solve(prog)
-        if res.status == INFEASIBLE:
+        lp_value = covering(alpha)
+        if lp_value is None:
             continue  # no finite minimum for this alpha
         checked += 1
-        ilp = solve_ilp_bounded(prog, [(0, y_hi)] * q)
-        if ilp.status != OPTIMAL or ilp.value != res.value:
+        box_hi = y_hi if nonneg_entries else max(y_hi, ceil(lp_value))
+        widest = max(widest, box_hi)
+        prog = LinearProgram(objective=(1,) * q, rows=rows, rhs=alpha,
+                             senses=(GE,) * n, nonneg=(True,) * q)
+        ilp = solve_ilp_bounded(prog, [(0, box_hi)] * q)
+        if ilp.status != OPTIMAL or ilp.value != lp_value:
             return CheckReport(
                 name="tdi-oracle", verdict=False, method=ORACLE,
-                witness={"alpha": alpha, "lp_value": res.value,
+                witness={"alpha": alpha, "lp_value": lp_value,
                          "ilp_value": ilp.value},
                 search_bounds={"alpha_box": [alpha_lo, alpha_hi],
-                               "y_box": [0, y_hi]})
+                               "y_box": [0, box_hi]})
     return CheckReport(
         name="tdi-oracle", verdict=True, method=ORACLE,
         certificate={"objectives_checked": checked},
-        search_bounds={"alpha_box": [alpha_lo, alpha_hi], "y_box": [0, y_hi]})
+        search_bounds={"alpha_box": [alpha_lo, alpha_hi], "y_box": [0, widest]})
 
 
 def balanced_check(A):
@@ -206,20 +244,23 @@ def balanced_check(A):
             if col[i]:
                 adjacency[i + 1] |= 1 << (n + j)
                 adjacency[n + j + 1] |= 1 << i
-    for cycle in chordless_cycles(n + q, adjacency, min_len=6):
+    bounds = {"node_budget": HOLE_SEARCH_BUDGET}
+    for cycle in chordless_cycles(n + q, adjacency, min_len=6,
+                                  budget=HOLE_SEARCH_BUDGET):
         if len(cycle) % 4 == 2:
             rows_used = sorted(v for v in cycle if v <= n)
             cols_used = sorted(v - n for v in cycle if v > n)
             return CheckReport(
                 name="balanced", verdict=False, method=THEOREM_PATH,
-                witness={"rows": rows_used, "columns": cols_used})
+                witness={"rows": rows_used, "columns": cols_used},
+                search_bounds=bounds)
     return CheckReport(name="balanced", verdict=True, method=THEOREM_PATH,
-                       certificate={"rows": n, "columns": q})
+                       certificate={"rows": n, "columns": q},
+                       search_bounds=bounds)
 
 
 def balanced_oracle(A, order_cap=7):
     """Exhaustive submatrix scan for the balancedness definition."""
-    from itertools import combinations
     n, cols = _columns_of(A)
     _require_zero_one(cols)
     q = len(cols)
@@ -257,13 +298,9 @@ def mfmc_check(C):
             reason=f"edges have mixed cardinalities {sorted(sizes)}")
     A = incidence_matrix(C)
     n, cols = A.n, list(A.columns)
-    unit = [make_halfspace(tuple(int(i == j) for j in range(n)))
-            for i in range(n)]
-    packing = HRepPolyhedron(n, tuple(
-        unit + [Halfspace(tuple(-x for x in col), -1) for col in cols]))
     covering = HRepPolyhedron(n, tuple(
-        unit + [Halfspace(col, 1) for col in cols]))
-    packing_report = is_integral(packing)
+        orthant(n) + [Halfspace(col, 1) for col in cols]))
+    packing_report = is_integral(_packing_polytope(n, cols))
     covering_verts = vertices(covering)
     fractional = [v for v in covering_verts
                   if any(x.denominator != 1 for x in v)]

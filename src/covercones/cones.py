@@ -33,7 +33,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from . import lp
 from .errors import CapExceededError, InfeasibleError, InputError, \
     NoGradingError, NotPointedError
 from .linalg import diagonalize, dot, gcd_vec, primitive, rank_int, \
@@ -243,11 +242,9 @@ class IntegerCone:
             self._facets = tuple(facets_of_generators(dim, self._generators))
         else:
             # the zero cone: cut out by opposite coordinate pairs
-            units = [tuple(int(i == j) for j in range(dim))
-                     for i in range(dim)]
-            self._facets = tuple(sorted(
-                make_halfspace(s) for u in units
-                for s in (u, tuple(-x for x in u))))
+            units = orthant(dim)
+            self._facets = tuple(sorted(units + [
+                make_halfspace(tuple(-x for x in h.normal)) for h in units]))
 
     @classmethod
     def from_generators(cls, dim, generators):
@@ -447,20 +444,17 @@ class SemigroupMembership:
 
 
 def positive_grading(generators):
-    """An integer functional phi with phi(g) >= 1 on every generator, found
-    by exact LP; raises NoGradingError when none exists."""
-    dim = len(generators[0])
-    prog = lp.make_lp(
-        objective=[0] * dim,
-        rows=[list(g) for g in generators],
-        rhs=[1] * len(generators),
-        senses=[lp.GE] * len(generators),
-        nonneg=[False] * dim)
-    res = lp.solve(prog)
-    if res.status != lp.OPTIMAL:
+    """An integer functional phi >= 1 on every generator: the sum of the
+    facet normals of their cone.  Opposite facet pairs cancel, and a
+    non-zero point of a pointed cone is positive on some facet.  Raises
+    NoGradingError for a zero generator or a cone that is not pointed."""
+    gens = [tuple(int(x) for x in g) for g in generators]
+    if not all(map(any, gens)):
+        raise NoGradingError("a zero generator admits no positive grading")
+    cone = IntegerCone.from_generators(len(gens[0]), gens)
+    if not cone.is_pointed():
         raise NoGradingError("generators admit no positive grading functional")
-    den = lcm(*(x.denominator for x in res.primal))
-    return tuple(int(x * den) for x in res.primal)
+    return tuple(map(sum, zip(*(h.normal for h in cone.facets))))
 
 
 def semigroup_member(point, generators, grading=None):
@@ -528,23 +522,35 @@ class HRepPolyhedron:
         return all(h.holds(point) for h in self.halfspaces)
 
 
+def orthant(dim):
+    """The coordinate halfspaces x_i >= 0."""
+    return [make_halfspace(tuple(int(i == j) for j in range(dim)))
+            for i in range(dim)]
+
+
 def polyhedron(dim, halfspaces):
     hs = tuple(h if isinstance(h, Halfspace) else make_halfspace(*h)
                for h in halfspaces)
     return HRepPolyhedron(dim=dim, halfspaces=hs)
 
 
-def vertices(P):
-    """All vertices, sorted, as tuples of Fractions: the rays with t > 0 of
-    the homogenized cone {(x, t) : <a, x> >= rhs * t, t >= 0}, scaled to
-    t = 1, by one double description.  Rays with t = 0 span the recession
-    cone.  A polyhedron containing a line has no vertices.  Raises
-    InfeasibleError on an empty polyhedron."""
+def homogenized_rays(P):
+    """Extreme rays (x, t) and lineality basis of {(x, t) : <a, x> >= rhs * t,
+    t >= 0}, by one double description: the rays with t > 0 are the
+    vertices of P scaled by t, those with t = 0 span its recession cone."""
     normals = [tuple(h.normal) + (-h.rhs,) for h in P.halfspaces]
     normals.append((0,) * P.dim + (1,))
     rays, lineality = _dd_pair(P.dim + 1, normals)
+    return [vec for vec, _ in rays], lineality
+
+
+def vertices(P):
+    """All vertices, sorted, as tuples of Fractions: the rays with t > 0 of
+    the homogenized cone, scaled to t = 1.  A polyhedron containing a line
+    has no vertices.  Raises InfeasibleError on an empty polyhedron."""
+    rays, lineality = homogenized_rays(P)
     points = sorted(tuple(Fraction(x, vec[-1]) for x in vec[:-1])
-                    for vec, _ in rays if vec[-1] > 0)
+                    for vec in rays if vec[-1] > 0)
     if not points:
         raise InfeasibleError("polyhedron is empty")
     return [] if lineality else points

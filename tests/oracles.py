@@ -5,13 +5,13 @@ colourings, perfection as chromatic = clique number on every induced
 subgraph, lattice scans plus exact LP membership for cone questions,
 basic solutions for the vertices of a polyhedron, the tight-facet rank
 for extreme rays, Fraction elimination for coordinates over a simplex, and
-Gram-Schmidt for the facet normals of a lower-dimensional cone.  None of it
-shares code paths with the double description, triangulation or simplex
-machinery it cross-checks (LP feasibility is the one shared primitive, and
-the facet/Hilbert computations never call it), except two helpers built on
-the package's own cones: recession_rays, and the Gram-Schmidt reference,
-which projects the package's DD rays because what it checks is the
-projection.
+Gram-Schmidt for the facet normals of a lower-dimensional cone.  The LP
+questions go to the exact simplex of simplex.py, which lives only on the
+test side: the package itself reads every LP value off a double
+description.  None of it shares code paths with the double description or
+triangulation it cross-checks, except two helpers built on the package's
+own cones: recession_rays, and the Gram-Schmidt reference, which projects
+the package's DD rays because what it checks is the projection.
 """
 
 from fractions import Fraction
@@ -24,6 +24,8 @@ from covercones import (CapExceededError, CheckReport, InfeasibleError,
 from covercones.cones import _dd_pair
 from covercones.linalg import dot, primitive, rank_int, sign_normalized
 from covercones.report import ORACLE
+
+from simplex import solve
 
 PERFECTION_ORACLE_CAP = 9
 
@@ -275,10 +277,10 @@ def brute_vertices(P):
 def feasible(prog):
     """Feasibility of a linear program (the objective is ignored)."""
     probe = lp.LinearProgram(
-        objective=tuple(Fraction(0) for _ in prog.objective),
+        objective=(0,) * len(prog.objective),
         rows=prog.rows, rhs=prog.rhs, senses=prog.senses,
         nonneg=prog.nonneg, maximize=False)
-    return lp.solve(probe).status == lp.OPTIMAL
+    return solve(probe).status == lp.OPTIMAL
 
 
 def cone_membership_lp(generators, point):
@@ -304,7 +306,7 @@ def irredundancy_witnesses(dim, halfspaces):
             rhs=[o.rhs for o in others] + [h.rhs - 1],
             senses=[lp.GE] * len(others) + [lp.LE],
             nonneg=[False] * dim)
-        res = lp.solve(prog)
+        res = solve(prog)
         if res.status != lp.OPTIMAL:
             return None, k
         out.append(res.primal)

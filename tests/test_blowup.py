@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from covercones import (CapExceededError, InputError, IntegerCone,
@@ -178,6 +180,23 @@ def test_ehrhart_equality_detects_gaps():
     report = ehrhart_equality([(2, 0), (0, 2)])
     assert report.verdict is False
     assert report.witness["hilbert_basis_element"] == (1, 1, 1)
+
+
+def test_ehrhart_x0_is_a_positive_normalizing_point():
+    ideals = [[(1, 1, 1)], [(1, 0)], [(2, 0), (0, 2)],
+              [(1, 0, 1, 0, 0), (0, 1, 0, 1, 0)],
+              [(0, 1, 1, 1, 0), (1, 0, 1, 0, 1)]]
+    ideals += [cover_ideal(edge_clutter(G)) for G in small_graph_corpus()
+               if is_unmixed(edge_clutter(G))]
+    for ideal in ideals:
+        x0 = [Fraction(x) for x in ehrhart_equality(ideal).certificate["x0"]]
+        assert all(x > 0 for x in x0), ideal
+        assert all(sum(a * x for a, x in zip(v, x0)) == 1 for v in ideal)
+    # the double description rays of {x >= 0 : x1 + x3 = x2 + x4 = 1}
+    # (the four vertices and the free direction e5) sum to (2, 2, 2, 2, 1)
+    # at t = 4
+    assert ehrhart_equality([(1, 0, 1, 0, 0), (0, 1, 0, 1, 0)]).certificate \
+        == {"x0": ("1/2", "1/2", "1/2", "1/2", "1/4")}
 
 
 def test_ehrhart_requires_positive_normalizing_point():

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,14 +12,16 @@ from covercones import (Clutter, Graph, InputError, IntegerCone,
                         perfect_matrix_check, perfect_via_odd_holes,
                         perfect_via_rees_cone, rees_cone, semigroup_member,
                         tdi_check, tdi_oracle, vertex_clique_matrix)
-from covercones.checks import HOLE_SEARCH_BUDGET, _columns_of
+from covercones.checks import (HOLE_SEARCH_BUDGET, _columns_of,
+                               _covering_minimum)
 from covercones.errors import CapExceededError
-from covercones.lp import GE, OPTIMAL, make_lp, solve, solve_ilp_bounded
+from covercones.lp import GE, INFEASIBLE, OPTIMAL, make_lp, solve_ilp_bounded
 
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
                     cycle_graph, no_isolated, path_graph, small_graph_corpus,
                     with_edges)
 from oracles import is_perfect_definitional
+from simplex import solve
 
 
 def test_cone_perfection_fixtures():
@@ -163,7 +167,58 @@ def test_tdi_oracle_fixtures():
     assert r.verdict is False
     assert r.witness["alpha"] == (1, 1, 1)
     assert (r.witness["lp_value"], r.witness["ilp_value"]) == (
-        __import__("fractions").Fraction(3, 2), 2)
+        Fraction(3, 2), 2)
+
+
+# 2 -1 2 / -1 1 -1: alpha = (-1, 3) needs y = (0, 5, 2), past y_hi = 4
+NEGATIVE_ENTRIES = [(2, -1), (-1, 1), (2, -1)]
+# the second row is zero: e_2 is a recession ray of the packing polytope
+ZERO_ROW = [(1, 0), (1, 0)]
+
+
+def test_covering_values_match_the_simplex_on_every_objective():
+    """The double description's covering minimum against the exact simplex,
+    on every objective of the tdi-oracle fixtures."""
+    fixtures = [
+        vertex_clique_matrix(complete_graph(2)),
+        vertex_clique_matrix(path_graph(3)),
+        vertex_clique_matrix(cycle_graph(4)),
+        incidence_matrix(edge_clutter(cycle_graph(3))),
+        [(1, 1, 0), (0, 1, 1)], [(1, 0), (1, 1), (0, 1)], [(2,)],
+        NEGATIVE_ENTRIES, ZERO_ROW,
+    ]
+    infeasible = 0
+    for A in fixtures:
+        n, cols = _columns_of(A)
+        covering = _covering_minimum(n, cols)
+        rows = [[col[i] for col in cols] for i in range(n)]
+        lo, hi = tdi_oracle(A).search_bounds["alpha_box"]
+        for alpha in product(range(lo, hi + 1), repeat=n):
+            res = solve(make_lp([1] * len(cols), rows, alpha, [GE] * n))
+            value = covering(alpha)
+            if res.status == INFEASIBLE:
+                assert value is None, (A, alpha)
+                infeasible += 1
+            else:
+                assert value == res.value, (A, alpha)
+    assert infeasible > 0
+
+
+def test_tdi_oracle_box_reaches_the_lp_value_on_negative_entries():
+    r = tdi_oracle(NEGATIVE_ENTRIES)
+    assert r.verdict is False
+    # the witness is genuine: a fractional LP value no integral y attains
+    assert r.witness == {"alpha": (1, -2), "lp_value": Fraction(1, 2),
+                         "ilp_value": 1}
+    rows = [[2, -1, 2], [-1, 1, -1]]
+    ilp = solve_ilp_bounded(make_lp([1] * 3, rows, [-1, 3], [GE] * 2),
+                            [(0, 7)] * 3)
+    assert ilp.value == 7 == _covering_minimum(2, NEGATIVE_ENTRIES)((-1, 3))
+    zero_row = tdi_oracle(ZERO_ROW)
+    assert zero_row.verdict is True
+    # of the 25 objectives in [-2, 2]^2, those with alpha_2 > 0 have no
+    # finite minimum
+    assert zero_row.certificate == {"objectives_checked": 15}
 
 
 def test_tdi_oracle_agrees_with_tdi_check_on_small_matrices():

@@ -210,6 +210,35 @@ def test_empty_tdi_oracle_box_is_rejected(write, capsys):
     assert code == 0 and report["primary_verdict"] is False
 
 
+def test_tdi_oracle_on_a_matrix_with_negative_entries(write, capsys):
+    # alpha = (-1, 3) is met at cost 7 by y = (0, 5, 2), outside [0, 4]^3
+    path = write("neg.mat", "matrix { 2 -1 2 ; -1 1 -1 }\n")
+    code, report = run_json(capsys, ["tdi-oracle", path])
+    assert code == 0 and report["primary_verdict"] is False
+    assert report["results"][0]["witness"] == {
+        "alpha": [1, -2], "lp_value": "1/2", "ilp_value": 1}
+
+
+def _bipartite_incidence(p, q):
+    edges = [(i, p + j) for i in range(p) for j in range(q)]
+    rows = [" ".join("1" if v in e else "0" for e in edges)
+            for v in range(p + q)]
+    return "matrix { " + " ; ".join(rows) + " }\n"
+
+
+def test_balanced_walk_past_its_budget_exits_3(write, capsys):
+    k66 = write("k66.mat", _bipartite_incidence(6, 6))
+    code, report = run_json(capsys, ["check-balanced", k66])
+    assert code == 0 and report["primary_verdict"] is True
+    assert report["results"][0]["search_bounds"] == {"node_budget": 1000000}
+    k77 = write("k77.mat", _bipartite_incidence(7, 7))
+    assert main(["check-balanced", k77]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: induced-cycle search exceeded its budget "
+                            "of 1000000 nodes\n")
+    assert captured.out == ""
+
+
 def test_hilbert_basis_command_monomials(write, capsys):
     path = write("k2.graph", "graph { a-b }\n")
     code, report = run_json(capsys, ["hilbert-basis", path, "--cone", "simis"])

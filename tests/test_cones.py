@@ -8,13 +8,17 @@ from covercones import (Halfspace, HRepPolyhedron, InfeasibleError,
                         edge_clutter, cover_ideal,
                         extreme_rays_of_halfspaces, facets_of_generators,
                         hilbert_basis, is_integral,
-                        lattice_points_dilation, make_halfspace, polyhedron,
-                        semigroup_member, vertices)
+                        lattice_points_dilation, make_halfspace, make_lp,
+                        polyhedron, semigroup_member, vertices)
+from covercones.cones import positive_grading
 from covercones.errors import CapExceededError, NoGradingError
+from covercones.linalg import dot
+from covercones.lp import GE
 
 from corpus import cycle_graph, small_graph_corpus
 from oracles import (brute_hilbert_basis, brute_lattice_points_dilation,
-                     brute_vertices, cone_membership_lp, gram_schmidt_facets,
+                     brute_vertices, cone_membership_lp, feasible,
+                     gram_schmidt_facets,
                      irredundancy_witnesses, rank_filtered_extreme_rays,
                      recession_rays, solve_columns)
 
@@ -368,6 +372,35 @@ def test_semigroup_membership_with_negative_generators():
 def test_semigroup_membership_needs_grading():
     with pytest.raises(NoGradingError):
         semigroup_member((0, 0), [(1, 0), (-1, 0)])
+
+
+def test_positive_grading_exists_exactly_when_the_lp_oracle_finds_one():
+    """The facet-normal sum against the exact simplex on
+    {phi : <g, phi> >= 1 for every generator g}: NoGradingError exactly
+    where that program is infeasible, a functional >= 1 on every generator
+    everywhere else."""
+    families = [[(1, 0), (-1, 0)], [(1, 0), (0, 1), (-1, -1)],
+                [(0, 0), (1, 0)], [(1, 0, 0), (-1, 0, 0), (0, 1, 0)],
+                [(1, 1, 1), (-1, 0, 0), (0, -1, 0)], [(1, 0, 0), (0, 1, 0)],
+                [(1, 2, 0), (2, 4, 0)]]
+    rng = random.Random(7)
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        families.append([tuple(rng.randint(-2, 2) for _ in range(dim))
+                         for _ in range(rng.randint(1, 5))])
+    graded = 0
+    for gens in families:
+        dim = len(gens[0])
+        prog = make_lp([0] * dim, gens, [1] * len(gens), [GE] * len(gens),
+                       nonneg=[False] * dim)
+        if not feasible(prog):
+            with pytest.raises(NoGradingError):
+                positive_grading(gens)
+            continue
+        phi = positive_grading(gens)
+        assert all(dot(phi, g) >= 1 for g in gens), gens
+        graded += 1
+    assert 30 < graded < len(families) - 30
 
 
 def test_facet_cache_is_consistent_under_threads():

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from covercones import InputError, make_lp, solve, solve_ilp_bounded
-from covercones.lp import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED
+from covercones import InputError, make_lp, solve_ilp_bounded
+from covercones.lp import EQ, GE, INFEASIBLE, LE, OPTIMAL
 
 from corpus import cycle_graph
+from simplex import UNBOUNDED, solve
 
 
 def edge_rows(G):
@@ -71,14 +72,13 @@ def test_identical_inputs_give_identical_results():
 
 def test_bounded_ilp_examples():
     res = solve_ilp_bounded(make_lp([1], [[1]], [1], [GE]), [(0, 3)])
-    assert res.value == 1 and res.matches_lp is True
+    assert res.value == 1 and res.point == (1,)
 
     C5 = cycle_graph(5)
     cover_rows = [[1 if v in e else 0 for e in C5.edges] for v in range(1, 6)]
     lp = make_lp([1] * 5, cover_rows, [1] * 5, [GE] * 5)
     res = solve_ilp_bounded(lp, [(0, 3)] * 5)
-    assert res.value == 3 and res.lp_value == Fraction(5, 2)
-    assert res.matches_lp is False
+    assert res.value == 3 and solve(lp).value == Fraction(5, 2)
 
     infeasible = make_lp([1], [[1], [-1]], [2, 0], [GE, GE])
     assert solve_ilp_bounded(infeasible, [(0, 1)]).status == INFEASIBLE
@@ -87,6 +87,12 @@ def test_bounded_ilp_examples():
 def test_ilp_rejects_empty_box():
     with pytest.raises(InputError):
         solve_ilp_bounded(make_lp([1], [[1]], [1], [GE]), [(2, 1)])
+
+
+def test_programs_take_integer_data_only():
+    with pytest.raises(InputError):
+        make_lp([Fraction(1, 2)], [[1]], [1], [GE])
+    assert make_lp([Fraction(2)], [[1]], [1], [GE]).objective == (2,)
 
 
 def test_ilp_never_beats_lp_on_minimization():
@@ -100,5 +106,6 @@ def test_ilp_never_beats_lp_on_minimization():
             [rng.randint(0, 3) for _ in range(m)],
             [GE] * m)
         res = solve_ilp_bounded(lp, [(0, 4)] * n)
-        if res.status == OPTIMAL and res.lp_value is not None:
-            assert res.value >= res.lp_value
+        relax = solve(lp)
+        if res.status == OPTIMAL and relax.status == OPTIMAL:
+            assert res.value >= relax.value
