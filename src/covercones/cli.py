@@ -403,7 +403,7 @@ def main(argv=None):
         print(f"error: internal consistency failure: {exc}", file=sys.stderr)
         return 4
     if args.json:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     else:
         _print_pretty(report, sys.stdout)
     return exit_code

@@ -7,18 +7,21 @@ Two formats are accepted.  The bespoke grammar is explicit about its kind:
     matrix  { 1 1 0 ; 0 1 1 }          # rows, ';' separated
     ideal   { [1 1 0] [0 1 1] }        # exponent vectors
 
-The plain format is line-based (one edge, one vector, or one edge's vertex
-set per line, depending on the kind the command expects) and is also the
-cone/polyhedron debugging format: one vector per line, space-separated
-integers.  '#' starts a comment in both formats.
-
-Vertex tokens that are all positive integers are taken as 1-based indices;
-otherwise they are names, numbered in order of first appearance.  Errors
-carry line and column positions.
+Bespoke tokens are the characters {}-,;[] and runs of letters, digits and
+'_'; an integer is a digit token after an optional '-' token.  The plain
+format has one edge, vertex set or integer row per line, as the command
+expects, of whitespace-separated tokens: names may hold the punctuation,
+and integers are what int() reads.  Both formats allow the same
+characters; '#' starts a comment.  Both read into the same records of
+tokens with line and column, and one assembly per kind builds the
+InputDocument.  Vertex tokens that are all positive integers are 1-based
+indices; otherwise they are names, numbered by first appearance.
 """
 
 import hashlib
 import json
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .clutters import Clutter, Graph
@@ -34,38 +37,25 @@ class ParseError(InputError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    line: int
-    col: int
-
+Token = namedtuple("Token", "text line col")
 
 _PUNCT = set("{}-,;[]")
+# on str patterns, \w is str.isalnum() or '_' and \s is str.isspace()
+_UNEXPECTED = re.compile(r"[^\w\s{}\-,;\[\]]")
+_BESPOKE_TOKEN = re.compile(r"\w+|[{}\-,;\[\]]")
+_PLAIN_TOKEN = re.compile(r"\S+")
 
 
-def _tokenize(text):
-    tokens = []
+def _lines(text, pattern):
+    """Non-empty lines as token lists; comments dropped, foreign characters refused."""
+    lines = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            if ch in _PUNCT:
-                tokens.append(Token(ch, ln, col + 1))
-                col += 1
-                continue
-            if ch.isalnum() or ch == "_":
-                start = col
-                while col < len(line) and (line[col].isalnum() or line[col] == "_"):
-                    col += 1
-                tokens.append(Token(line[start:col], ln, start + 1))
-                continue
-            raise ParseError(f"unexpected character {ch!r}", ln, col + 1)
-    return tokens
+        body = raw.split("#", 1)[0]
+        if bad := _UNEXPECTED.search(body):
+            raise ParseError(f"unexpected character {bad[0]!r}", ln, bad.start() + 1)
+        if line := [Token(m[0], ln, m.start() + 1) for m in pattern.finditer(body)]:
+            lines.append(line)
+    return lines
 
 
 @dataclass(frozen=True)
@@ -98,230 +88,152 @@ class InputDocument:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-class _LabelTable:
-    def __init__(self):
-        self.names = []
-        self.index = {}
-
-    def resolve(self, token):
-        name = token.text
-        if name not in self.index:
-            self.index[name] = len(self.names) + 1
-            self.names.append(name)
-        return self.index[name]
+def _int(tok):
+    """The one integer conversion of both formats, by int()'s rules and limit."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        digits = tok.text.removeprefix("-")
+        message = (f"integer of {len(digits)} digits is too long" if digits.isdecimal()
+                   else f"expected integer, found {tok.text!r}")
+        raise ParseError(message, tok.line, tok.col) from None
 
 
-def _finalize_vertices(raw_edges, tokens_seen):
-    """Map vertex tokens to indices: all-numeric tokens are indices, any
-    non-numeric token switches to first-appearance naming."""
-    all_numeric = all(t.text.isdigit() and int(t.text) > 0 for t in tokens_seen)
-    if all_numeric:
-        n = max((int(t.text) for t in tokens_seen), default=0)
-        labels = tuple(str(i) for i in range(1, n + 1))
-        edges = [tuple(int(t.text) for t in e) for e in raw_edges]
-        return n, labels, edges
-    table = _LabelTable()
-    edges = [tuple(table.resolve(t) for t in e) for e in raw_edges]
-    return len(table.names), tuple(table.names), edges
+def _vertex(tok):
+    if tok.text in _PUNCT:
+        raise ParseError(f"expected vertex, found {tok.text!r}", tok.line, tok.col)
+    return tok
 
 
-def _parse_graph_body(tokens, pos):
-    raw = []
-    seen = []
-    while pos < len(tokens) and tokens[pos].text != "}":
-        a = tokens[pos]
-        if a.text in _PUNCT:
-            raise ParseError(f"expected vertex, found {a.text!r}", a.line, a.col)
-        if pos + 2 >= len(tokens) or tokens[pos + 1].text != "-":
+def _signed(tok, it):
+    """A bespoke integer token; '-' and its digits become one token."""
+    num = next(it) if tok.text == "-" else tok
+    if not num.text.isdecimal():
+        raise ParseError(f"expected integer, found {num.text!r}", num.line, num.col)
+    return tok if num is tok else Token("-" + num.text, tok.line, tok.col)
+
+
+def _pairs(it):
+    """a-b pairs: edge records."""
+    edges = []
+    while (a := next(it)).text != "}":
+        if next(it).text != "-":
             raise ParseError("expected '-' between edge endpoints", a.line, a.col)
-        b = tokens[pos + 2]
-        if b.text in _PUNCT:
-            raise ParseError(f"expected vertex, found {b.text!r}", b.line, b.col)
-        if a.text == b.text:
-            raise ParseError(f"loop at vertex {a.text!r}", a.line, a.col)
-        raw.append((a, b))
-        seen.extend((a, b))
-        pos += 3
-    if pos >= len(tokens):
-        raise ParseError("unterminated graph block", tokens[-1].line, tokens[-1].col)
-    n, labels, edges = _finalize_vertices(raw, seen)
-    return InputDocument(kind="graph", labels=labels, graph=Graph(n, edges)), pos + 1
+        edges.append((_vertex(a), _vertex(next(it))))
+    return edges
 
 
-def _parse_clutter_body(tokens, pos, strict):
-    raw_edges = []
-    seen = []
-    while pos < len(tokens) and tokens[pos].text != "}":
-        tok = tokens[pos]
+def _groups(it):
+    """{a,b,..} groups, with an optional trailing comma: vertex-set records."""
+    groups = []
+    while (tok := next(it)).text != "}":
         if tok.text != "{":
-            raise ParseError(f"expected '{{' to open an edge, found {tok.text!r}",
-                             tok.line, tok.col)
-        pos += 1
-        edge = []
-        expect_name = True
-        while pos < len(tokens) and tokens[pos].text != "}":
-            t = tokens[pos]
-            if expect_name:
-                if t.text in _PUNCT:
-                    raise ParseError(f"expected vertex, found {t.text!r}", t.line, t.col)
-                edge.append(t)
-            else:
-                if t.text != ",":
-                    raise ParseError(f"expected ',', found {t.text!r}", t.line, t.col)
-            expect_name = not expect_name
-            pos += 1
-        if pos >= len(tokens):
-            raise ParseError("unterminated edge block", tok.line, tok.col)
-        if not edge:
+            raise ParseError(f"expected '{{', found {tok.text!r}", tok.line, tok.col)
+        group = []
+        while (t := next(it)).text != "}":
+            group.append(_vertex(t))
+            if (t := next(it)).text == "}":
+                break
+            if t.text != ",":
+                raise ParseError(f"expected ',', found {t.text!r}", t.line, t.col)
+        if not group:
             raise ParseError("empty edge", tok.line, tok.col)
-        raw_edges.append(tuple(edge))
-        seen.extend(edge)
-        pos += 1
-    if pos >= len(tokens):
-        raise ParseError("unterminated clutter block", tokens[-1].line, tokens[-1].col)
-    n, labels, edges = _finalize_vertices(raw_edges, seen)
-    clutter = Clutter(n, edges, minimalize=not strict)
-    return InputDocument(kind="clutter", labels=labels, clutter=clutter), pos + 1
+        groups.append(group)
+    return groups
 
 
-def _read_int(tokens, pos):
-    t = tokens[pos]
-    sign = 1
-    if t.text == "-":
-        pos += 1
-        if pos >= len(tokens) or not tokens[pos].text.isdigit():
-            raise ParseError("expected digits after '-'", t.line, t.col)
-        t = tokens[pos]
-        sign = -1
-    if not t.text.isdigit():
-        raise ParseError(f"expected integer, found {t.text!r}", t.line, t.col)
-    return sign * int(t.text), pos + 1
+def _rows(it):
+    """';'-separated rows of integers; empty rows are skipped."""
+    rows = [[]]
+    while (t := next(it)).text != "}":
+        if t.text == ";":
+            rows.append([])
+        else:
+            rows[-1].append(_signed(t, it))
+    return [row for row in rows if row]
 
 
-def _parse_matrix_body(tokens, pos):
-    rows = []
-    current = []
-    while pos < len(tokens) and tokens[pos].text != "}":
-        if tokens[pos].text == ";":
-            if current:
-                rows.append(tuple(current))
-                current = []
-            pos += 1
-            continue
-        value, pos = _read_int(tokens, pos)
-        current.append(value)
-    if pos >= len(tokens):
-        raise ParseError("unterminated matrix block", tokens[-1].line, tokens[-1].col)
-    if current:
-        rows.append(tuple(current))
-    _check_rect(rows, tokens[pos])
-    labels = tuple(f"x{i}" for i in range(1, len(rows) + 1))
-    return InputDocument(kind="matrix", labels=labels, rows=tuple(rows)), pos + 1
-
-
-def _parse_ideal_body(tokens, pos):
-    rows = []
-    while pos < len(tokens) and tokens[pos].text != "}":
-        tok = tokens[pos]
+def _vectors(it):
+    """[..] vectors of integers."""
+    vectors = []
+    while (tok := next(it)).text != "}":
         if tok.text != "[":
-            raise ParseError(f"expected '[' to open an exponent vector, found {tok.text!r}",
-                             tok.line, tok.col)
-        pos += 1
-        vec = []
-        while pos < len(tokens) and tokens[pos].text != "]":
-            value, pos = _read_int(tokens, pos)
-            vec.append(value)
-        if pos >= len(tokens):
-            raise ParseError("unterminated exponent vector", tok.line, tok.col)
-        rows.append(tuple(vec))
-        pos += 1
-    if pos >= len(tokens):
-        raise ParseError("unterminated ideal block", tokens[-1].line, tokens[-1].col)
-    _check_rect(rows, tokens[pos])
-    labels = tuple(f"x{i}" for i in range(1, (len(rows[0]) if rows else 0) + 1))
-    return InputDocument(kind="ideal", labels=labels, rows=tuple(rows)), pos + 1
+            raise ParseError(f"expected '[', found {tok.text!r}", tok.line, tok.col)
+        vector = []
+        while (t := next(it)).text != "]":
+            vector.append(_signed(t, it))
+        vectors.append(vector)
+    return vectors
 
 
-def _check_rect(rows, tok):
+_READERS = {"graph": _pairs, "clutter": _groups, "matrix": _rows, "ideal": _vectors}
+
+
+def _vertices(records):
+    """Labels and index tuples of vertex records, numbered as the module
+    docstring says; the one vertex naming of both formats."""
+    tokens = [t for r in records for t in r]
+    index = {}
+    for tok in tokens:
+        if tok.text not in index:
+            index[tok.text] = _int(tok) if tok.text.isdecimal() else 0
+            if not index[tok.text]:
+                names = dict.fromkeys(t.text for t in tokens)
+                index = {name: i for i, name in enumerate(names, start=1)}
+                break
+    else:
+        names = map(str, range(1, max(index.values(), default=0) + 1))
+    return tuple(names), [tuple([index[t.text] for t in r]) for r in records]
+
+
+def _assemble(kind, records, strict, end):
+    """(labels, fields) of the document; `end` positions errors that belong
+    to no single token."""
+    if kind == "graph":
+        for r in records:
+            if len(r) != 2:
+                raise ParseError("expected two vertices per edge", r[0].line, r[0].col)
+            if r[0].text == r[1].text:
+                raise ParseError(f"loop at vertex {r[0].text!r}", r[0].line, r[0].col)
+        labels, edges = _vertices(records)
+        return labels, {"graph": Graph(len(labels), edges)}
+    if kind == "clutter":
+        labels, edges = _vertices(records)
+        return labels, {"clutter": Clutter(len(labels), edges, minimalize=not strict)}
+    rows = tuple(tuple([_int(t) for t in r]) for r in records)
     if not rows:
-        raise ParseError("no rows given", tok.line, tok.col)
+        raise ParseError("no rows given", end.line, end.col)
     if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("rows have unequal lengths", tok.line, tok.col)
-
-
-def _parse_plain(text, expected_kind, strict):
-    lines = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((ln, body.split()))
-    if not lines:
-        raise ParseError("empty input", 1, 1)
-    if expected_kind == "graph":
-        raw_edges = []
-        seen = []
-        for ln, parts in lines:
-            if len(parts) != 2:
-                raise ParseError("expected two vertices per line", ln, 1)
-            a, b = (Token(p, ln, 1) for p in parts)
-            if a.text == b.text:
-                raise ParseError(f"loop at vertex {a.text!r}", ln, 1)
-            raw_edges.append((a, b))
-            seen.extend((a, b))
-        n, labels, edges = _finalize_vertices(raw_edges, seen)
-        return InputDocument(kind="graph", labels=labels, graph=Graph(n, edges))
-    if expected_kind == "clutter":
-        raw_edges = []
-        seen = []
-        for ln, parts in lines:
-            toks = [Token(p, ln, 1) for p in parts]
-            raw_edges.append(tuple(toks))
-            seen.extend(toks)
-        n, labels, edges = _finalize_vertices(raw_edges, seen)
-        return InputDocument(kind="clutter", labels=labels,
-                             clutter=Clutter(n, edges, minimalize=not strict))
-    rows = []
-    for ln, parts in lines:
-        try:
-            rows.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise ParseError("expected integers", ln, 1)
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("rows have unequal lengths", lines[-1][0], 1)
-    ncols = len(rows[0])
-    count = len(rows) if expected_kind == "matrix" else ncols
-    labels = tuple(f"x{i}" for i in range(1, count + 1))
-    return InputDocument(kind=expected_kind, labels=labels, rows=tuple(rows))
+        raise ParseError("rows have unequal lengths", end.line, end.col)
+    count = len(rows) if kind == "matrix" else len(rows[0])
+    return tuple(f"x{i}" for i in range(1, count + 1)), {"rows": rows}
 
 
 def parse_input(text, expected_kind=None, strict=True, source="<input>"):
     """Parse a document; bespoke blocks declare their own kind, the plain
     line format uses `expected_kind`."""
-    tokens = _tokenize(text)
+    tokens = [t for line in _lines(text, _BESPOKE_TOKEN) for t in line]
     if tokens and tokens[0].text in KINDS:
         kind = tokens[0].text
         if len(tokens) < 2 or tokens[1].text != "{":
             raise ParseError(f"expected '{{' after {kind!r}",
                              tokens[0].line, tokens[0].col)
-        if kind == "graph":
-            doc, pos = _parse_graph_body(tokens, 2)
-        elif kind == "clutter":
-            doc, pos = _parse_clutter_body(tokens, 2, strict)
-        elif kind == "matrix":
-            doc, pos = _parse_matrix_body(tokens, 2)
-        else:
-            doc, pos = _parse_ideal_body(tokens, 2)
-        if pos != len(tokens):
-            t = tokens[pos]
+        it = iter(tokens[2:])
+        try:
+            records = _READERS[kind](it)
+        except StopIteration:
+            raise ParseError(f"unterminated {kind} block",
+                             tokens[-1].line, tokens[-1].col) from None
+        if (t := next(it, None)) is not None:
             raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-        return InputDocument(kind=doc.kind, labels=doc.labels, graph=doc.graph,
-                             clutter=doc.clutter, rows=doc.rows, source=source)
-    if expected_kind is None:
-        raise ParseError("cannot infer the input kind; use the bespoke syntax",
-                         1, 1)
-    doc = _parse_plain(text, expected_kind, strict)
-    return InputDocument(kind=doc.kind, labels=doc.labels, graph=doc.graph,
-                         clutter=doc.clutter, rows=doc.rows, source=source)
+    elif expected_kind is None:
+        raise ParseError("cannot infer the input kind; use the bespoke syntax", 1, 1)
+    elif not tokens:
+        raise ParseError("empty input", 1, 1)
+    else:
+        kind, records = expected_kind, _lines(text, _PLAIN_TOKEN)
+    labels, fields = _assemble(kind, records, strict, end=tokens[-1])
+    return InputDocument(kind=kind, labels=labels, source=source, **fields)
 
 
 def read_labels(text):

@@ -4,7 +4,8 @@ import time
 import pytest
 
 from covercones.cli import main
-from covercones.textio import format_inequality, parse_input, read_labels
+from covercones.textio import (ParseError, format_inequality, parse_input,
+                               read_labels)
 from covercones import InputError, make_halfspace
 
 
@@ -69,6 +70,45 @@ def test_parse_plain_vector_format():
     assert doc.rows == ((1, 0, 1), (0, 1, 0))
     doc = parse_input("1 2\n2 3\n", expected_kind="graph")
     assert doc.graph.edges == ((1, 2), (2, 3))
+
+
+# the rules both formats keep: what a token is, which integers are read,
+# and where an error points
+@pytest.mark.parametrize("text, kind, labels, payload", [
+    ("a-b c\n", "graph", ("a-b", "c"), {"n": 2, "edges": [[1, 2]]}),
+    ("matrix { - 3 1 ; 1 1 }", None, ("x1", "x2"), {"rows": [[-3, 1], [1, 1]]}),
+    ("1_000 -2\n", "ideal", ("x1", "x2"), {"rows": [[1000, -2]]}),
+    ("clutter { {a,} {b} }", None, ("a", "b"), {"n": 2, "edges": [[1], [2]]}),
+    ("matrix { ;; 1 0 ;; 0 1 ; }", None, ("x1", "x2"), {"rows": [[1, 0], [0, 1]]}),
+    ("graph { 0-1 1-2 }", None, ("0", "1", "2"), {"n": 3, "edges": [[1, 2], [2, 3]]}),
+    ("graph { ²-1 }", None, ("²", "1"), {"n": 2, "edges": [[1, 2]]}),
+], ids=["plain-name-with-dash", "bespoke-spaced-minus", "plain-underscore",
+        "trailing-comma", "empty-rows", "vertex-zero-names", "superscript-names"])
+def test_parse_rules(text, kind, labels, payload):
+    doc = parse_input(text, expected_kind=kind)
+    assert (doc.labels, doc.payload()) == (labels, payload)
+
+
+LONG_INTEGER = "1" * 5000       # past CPython's 4,300-digit conversion limit
+
+
+@pytest.mark.parametrize("text, kind, position", [
+    ("- 3\n", "matrix", (1, 1)),
+    ("graph {\n a-b\n b c }", None, (3, 2)),
+    ("clutter {\n {a b} }", None, (2, 5)),
+    ("matrix { 1 0 ;\n 1 x }", None, (2, 4)),
+    ("ideal { [1 0]\n  1 }", None, (2, 3)),
+    ("1 2\n3 x\n", "matrix", (2, 3)),
+    ("matrix { 1 ² ; 1 1 }", None, (1, 12)),
+    (f"matrix {{ 1 {LONG_INTEGER} ; 1 1 }}", None, (1, 12)),
+    (f"graph {{ 1-{LONG_INTEGER} }}", None, (1, 11)),
+    (f"1 {LONG_INTEGER}\n", "graph", (1, 3)),
+], ids=["plain-lone-minus", "graph", "clutter", "matrix", "ideal", "plain",
+        "superscript-entry", "long-entry", "long-vertex", "long-plain-vertex"])
+def test_parse_errors_point_at_their_token(text, kind, position):
+    with pytest.raises(ParseError) as err:
+        parse_input(text, expected_kind=kind)
+    assert (err.value.line, err.value.col) == position
 
 
 def test_labels_file_rejects_duplicates():

@@ -45,6 +45,11 @@ def test_every_command_on_mutated_inputs_keeps_the_exit_code_contract(
     inputs += [mutate(doc, rng).encode() for doc in DOCUMENTS
                for _ in range(MUTANTS_PER_DOCUMENT)]
     inputs.append(b"graph { a-b \xff\xfe }\n")     # not UTF-8
+    # digit tokens that int() refuses, and integers past its digit limit
+    long = "1" * 5000
+    inputs += [doc.encode() for doc in (
+        "graph { ²-1 }\n", "matrix { 1 ² ; 1 1 }\n", "1 ²\n",
+        f"matrix {{ 1 {long} ; 1 1 }}\n", f"graph {{ 1-{long} }}\n", f"1 {long}\n")]
     path = tmp_path / "input.txt"
     codes = {0: 0, 2: 0, 3: 0}
     for data in inputs:
