@@ -18,11 +18,12 @@ x^w t^{|w|-1}.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import cones
 from .clutters import (Clutter, all_cliques, cover_ideal, edge_clutter,
                        is_unmixed, minimal_vertex_covers)
-from .cones import (HILBERT_DIM_CAP, Halfspace, HRepPolyhedron,
-                    IntegerCone, hilbert_basis, homogenized_rays,
-                    make_halfspace, orthant, require_hilbert_dim)
+from .cones import (Halfspace, HRepPolyhedron, IntegerCone, hilbert_basis,
+                    homogenized_rays, make_halfspace, orthant,
+                    require_hilbert_dim)
 from .errors import CapExceededError, InputError
 from .linalg import dot
 from .report import THEOREM_PATH, CheckReport
@@ -101,7 +102,7 @@ def rees_cone(ideal):
         cone=IntegerCone.from_generators(n + 1, lifts))
 
 
-def is_rees_normal(ideal, dim_cap=HILBERT_DIM_CAP):
+def is_rees_normal(ideal):
     """Normality of the Rees algebra of a monomial ideal.
 
     Decided by the Hilbert-basis criterion: the algebra is normal iff the
@@ -115,13 +116,13 @@ def is_rees_normal(ideal, dim_cap=HILBERT_DIM_CAP):
     sum, the all-ones degree that bounds any combination.
     """
     ideal = _validated_ideal(ideal)
-    require_hilbert_dim(len(ideal[0]) + 1, dim_cap)
-    return _normality_report(rees_cone(ideal), dim_cap)
+    require_hilbert_dim(len(ideal[0]) + 1)
+    return _normality_report(rees_cone(ideal))
 
 
-def _normality_report(model, dim_cap):
+def _normality_report(model):
     """The is_rees_normal report on a Rees cone model already built."""
-    hb = hilbert_basis(model.cone, dim_cap=dim_cap)
+    hb = hilbert_basis(model.cone)
     first_index = {}
     for i, g in enumerate(model.lift_set):
         first_index.setdefault(g, i)
@@ -132,7 +133,8 @@ def _normality_report(model, dim_cap):
             return CheckReport(
                 name="rees-normal", verdict=False, method=THEOREM_PATH,
                 witness={"hilbert_basis_element": element},
-                search_bounds={"hb_dim_cap": dim_cap, "budget": sum(element)})
+                search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP,
+                               "budget": sum(element)})
         coefficients = tuple(int(j == i) for j in range(len(model.lift_set)))
         certificates.append({"element": element,
                              "coefficients": coefficients})
@@ -140,7 +142,7 @@ def _normality_report(model, dim_cap):
         name="rees-normal", verdict=True, method=THEOREM_PATH,
         certificate={"hilbert_basis_size": len(hb.elements),
                      "memberships": certificates},
-        search_bounds={"hb_dim_cap": dim_cap})
+        search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP})
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,15 @@ def simis_cone(ideal):
         cone=IntegerCone.from_halfspaces(n + 1, hs))
 
 
-def rees_hilbert_basis(ideal, dim_cap=HILBERT_DIM_CAP):
+def rees_hilbert_basis(ideal):
     ideal = _validated_ideal(ideal)
-    require_hilbert_dim(len(ideal[0]) + 1, dim_cap)
-    return hilbert_basis(rees_cone(ideal).cone, dim_cap=dim_cap)
+    require_hilbert_dim(len(ideal[0]) + 1)
+    return hilbert_basis(rees_cone(ideal).cone)
 
 
-def simis_hilbert_basis(ideal, dim_cap=HILBERT_DIM_CAP):
-    require_hilbert_dim(clutter_of_ideal(ideal).n + 1, dim_cap)
-    return hilbert_basis(simis_cone(ideal).cone, dim_cap=dim_cap)
+def simis_hilbert_basis(ideal):
+    require_hilbert_dim(clutter_of_ideal(ideal).n + 1)
+    return hilbert_basis(simis_cone(ideal).cone)
 
 
 def clique_lift_set(G):
@@ -190,28 +192,26 @@ def clique_lift_set(G):
     return out
 
 
-def symbolic_generators_perfect(G, assume_perfect=False):
+def symbolic_generators_perfect(G):
     """Symbolic blowup generators of the edge ideal of a perfect graph: one
     monomial x^w t^{|w|-1} per non-empty clique w.
 
     Perfection is verified by the odd hole and antihole search of
-    checks.perfect_via_odd_holes unless the caller asserts it (recorded by
-    the caller); imperfect graphs are rejected in verified mode, naming the
-    odd hole or antihole, because the clique description is only proven
-    for perfect graphs.  The search has no vertex cap; its node budget
-    raises CapExceededError.
+    checks.perfect_via_odd_holes; an imperfect graph is rejected, naming
+    the odd hole or antihole, because the clique description is only
+    proven for perfect graphs (clique_lift_set gives the lifts unchecked).
+    The search has no vertex cap; its node budget raises CapExceededError.
     """
-    if not assume_perfect:
-        from .checks import perfect_via_odd_holes   # checks imports blowup
-        verdict = perfect_via_odd_holes(G)
-        if not verdict.verdict:
-            (kind, cycle), = verdict.witness.items()
-            raise InputError(
-                f"graph is not perfect ({kind.replace('_', ' ')} {cycle})")
+    from .checks import perfect_via_odd_holes   # checks imports blowup
+    verdict = perfect_via_odd_holes(G)
+    if not verdict.verdict:
+        (kind, cycle), = verdict.witness.items()
+        raise InputError(
+            f"graph is not perfect ({kind.replace('_', ' ')} {cycle})")
     return clique_lift_set(G)
 
 
-def ehrhart_equality(ideal, dim_cap=HILBERT_DIM_CAP):
+def ehrhart_equality(ideal):
     """Does the monomial subring of x^{v_i} t equal the full lattice-point
     algebra of the dilations of conv(v_i)?
 
@@ -234,10 +234,10 @@ def ehrhart_equality(ideal, dim_cap=HILBERT_DIM_CAP):
         raise InputError("no positive x0 with <v_i, x0> = 1 exists")
     x0 = tuple(Fraction(x, total[n]) for x in total[:n])
 
-    require_hilbert_dim(n + 1, dim_cap)
+    require_hilbert_dim(n + 1)
     lifts = [v + (1,) for v in ideal]
     cone = IntegerCone.from_generators(n + 1, lifts)
-    hb = hilbert_basis(cone, dim_cap=dim_cap)
+    hb = hilbert_basis(cone)
     lift_set = set(lifts)
     extra = [e for e in hb.elements if e not in lift_set]
     verdict = not extra
@@ -245,10 +245,10 @@ def ehrhart_equality(ideal, dim_cap=HILBERT_DIM_CAP):
         name="ehrhart-equality", verdict=verdict, method=THEOREM_PATH,
         witness=None if verdict else {"hilbert_basis_element": extra[0]},
         certificate={"x0": tuple(str(x) for x in x0)},
-        search_bounds={"hb_dim_cap": dim_cap})
+        search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP})
 
 
-def gorenstein_check(G, scan_bound=None, dim_cap=HILBERT_DIM_CAP):
+def gorenstein_check(G, scan_bound=None):
     """Gorenstein test for the Rees algebra of the cover ideal of G.
 
     Preconditions (re-verified, reported when failing): the Rees algebra is
@@ -290,9 +290,9 @@ def gorenstein_check(G, scan_bound=None, dim_cap=HILBERT_DIM_CAP):
             name="gorenstein", verdict=None, method=THEOREM_PATH,
             reason="not unmixed",
             witness={"cover_sizes": sorted({len(c) for c in covers})})
-    require_hilbert_dim(n + 1, dim_cap)
+    require_hilbert_dim(n + 1)
     model = rees_cone(cover_ideal(clutter))
-    normal = _normality_report(model, dim_cap)
+    normal = _normality_report(model)
     if not normal.verdict:
         return CheckReport(
             name="gorenstein", verdict=None, method=THEOREM_PATH,

@@ -12,21 +12,22 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, lcm
 
+from . import clutters, cones
 from .blowup import is_rees_normal, rees_cone
 from .clutters import (IncidenceMatrix, all_cliques, chordless_cycles,
                        cover_ideal, dual_ideal, edge_clutter, Graph,
                        incidence_matrix, is_chordal, complement,
                        minimal_vertex_covers)
-from .cones import (HILBERT_DIM_CAP, HRepPolyhedron, IntegerCone,
-                    Halfspace, hilbert_basis, homogenized_rays, is_integral,
-                    make_halfspace, orthant, vertices)
+from .cones import (HRepPolyhedron, IntegerCone, Halfspace, hilbert_basis,
+                    homogenized_rays, is_integral, make_halfspace, orthant,
+                    vertices)
 from .errors import CapExceededError, InputError
 from .linalg import dot
 from .lp import GE, OPTIMAL, LinearProgram, solve_ilp_bounded
 from .report import ORACLE, THEOREM_PATH, CheckReport
 
 PERFECT_CONE_CAP = 9
-HOLE_SEARCH_BUDGET = 1_000_000
+BALANCED_ORACLE_ORDER_CAP = 7
 
 
 def _packing_polytope(n, cols):
@@ -57,14 +58,14 @@ def clique_halfspaces(G):
     return sorted(out)
 
 
-def perfect_via_rees_cone(G, cap=PERFECT_CONE_CAP):
+def perfect_via_rees_cone(G):
     """Perfection through the cover ideal's cone geometry: the graph is
     perfect iff the irreducible facet list of the Rees cone of its cover
     ideal is exactly the clique inequality list."""
     if G.isolated_vertices():
         raise InputError("perfection checks need a graph without isolated vertices")
-    if G.n > cap:
-        raise CapExceededError(f"cone perfection check capped at n <= {cap}")
+    if G.n > PERFECT_CONE_CAP:
+        raise CapExceededError(f"cone perfection check capped at n <= {PERFECT_CONE_CAP}")
     model = rees_cone(cover_ideal(edge_clutter(G)))
     facets = set(model.cone.facets)
     cliques = set(clique_halfspaces(G))
@@ -72,38 +73,38 @@ def perfect_via_rees_cone(G, cap=PERFECT_CONE_CAP):
         return CheckReport(
             name="perfect-via-cone", verdict=True, method=THEOREM_PATH,
             certificate={"facets": len(facets)},
-            search_bounds={"n_cap": cap})
+            search_bounds={"n_cap": PERFECT_CONE_CAP})
     extra = sorted(facets - cliques)
     missing = sorted(cliques - facets)
     return CheckReport(
         name="perfect-via-cone", verdict=False, method=THEOREM_PATH,
         witness={"non_clique_facets": [h.normal for h in extra],
                  "clique_inequalities_not_facets": [h.normal for h in missing]},
-        search_bounds={"n_cap": cap})
+        search_bounds={"n_cap": PERFECT_CONE_CAP})
 
 
-def perfect_via_odd_holes(G, budget=HOLE_SEARCH_BUDGET):
+def perfect_via_odd_holes(G):
     """Perfection by the strong perfect graph theorem (Chudnovsky, Robertson,
     Seymour and Thomas): a graph is perfect iff neither it nor its complement
     has an induced odd cycle of length five or more.  The induced cycles of G
     and then of its complement are walked up to the first odd one, which is
     the witness; the certificate counts the even ones examined.  Each walk
-    expands at most `budget` search nodes."""
+    expands at most clutters.CYCLE_SEARCH_BUDGET search nodes."""
     examined = []
     for kind, H in (("odd_hole", G), ("odd_antihole", complement(G))):
         count = 0
-        for cycle in chordless_cycles(H.n, H.adj, 5, budget=budget):
+        for cycle in chordless_cycles(H.n, H.adj, 5):
             if len(cycle) % 2:
                 return CheckReport(
                     name="perfect-via-odd-holes", verdict=False,
                     method=THEOREM_PATH, witness={kind: cycle},
-                    search_bounds={"node_budget": budget})
+                    search_bounds={"node_budget": clutters.CYCLE_SEARCH_BUDGET})
             count += 1
         examined.append(count)
     return CheckReport(
         name="perfect-via-odd-holes", verdict=True, method=THEOREM_PATH,
         certificate={"even_holes": examined[0], "even_antiholes": examined[1]},
-        search_bounds={"node_budget": budget})
+        search_bounds={"node_budget": clutters.CYCLE_SEARCH_BUDGET})
 
 
 def perfect_matrix_check(A):
@@ -115,7 +116,7 @@ def perfect_matrix_check(A):
         witness=inner.witness, certificate=inner.certificate)
 
 
-def tdi_check(A, dim_cap=HILBERT_DIM_CAP):
+def tdi_check(A):
     """Total dual integrality of x >= 0, xA <= 1 by the two-condition test:
     (i) the polytope is integral, and (ii) the lattice points of the cone on
     the lifted columns (v_i, 1) and the negated units are generated by them.
@@ -135,7 +136,7 @@ def tdi_check(A, dim_cap=HILBERT_DIM_CAP):
     cone = IntegerCone.from_generators(n + 1, lifted)
     if not cone.is_pointed():
         raise AssertionError("lifted column cone is unexpectedly not pointed")
-    hb = hilbert_basis(cone, dim_cap=dim_cap)
+    hb = hilbert_basis(cone)
     generators = set(lifted)
     lattice_witness = next(
         (e for e in hb.elements if e not in generators), None)
@@ -153,7 +154,7 @@ def tdi_check(A, dim_cap=HILBERT_DIM_CAP):
         witness=witness,
         certificate={"polytope_integral": integral.verdict,
                      "hilbert_basis_size": len(hb.elements)} if verdict else None,
-        search_bounds={"hb_dim_cap": dim_cap},
+        search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP},
         reason=None if verdict is not None
         else "matrix has negative entries; the two conditions are only sufficient")
 
@@ -244,9 +245,8 @@ def balanced_check(A):
             if col[i]:
                 adjacency[i + 1] |= 1 << (n + j)
                 adjacency[n + j + 1] |= 1 << i
-    bounds = {"node_budget": HOLE_SEARCH_BUDGET}
-    for cycle in chordless_cycles(n + q, adjacency, min_len=6,
-                                  budget=HOLE_SEARCH_BUDGET):
+    bounds = {"node_budget": clutters.CYCLE_SEARCH_BUDGET}
+    for cycle in chordless_cycles(n + q, adjacency, min_len=6):
         if len(cycle) % 4 == 2:
             rows_used = sorted(v for v in cycle if v <= n)
             cols_used = sorted(v - n for v in cycle if v > n)
@@ -259,12 +259,13 @@ def balanced_check(A):
                        search_bounds=bounds)
 
 
-def balanced_oracle(A, order_cap=7):
-    """Exhaustive submatrix scan for the balancedness definition."""
+def balanced_oracle(A):
+    """Exhaustive submatrix scan for the balancedness definition, over
+    square submatrices of order at most BALANCED_ORACLE_ORDER_CAP."""
     n, cols = _columns_of(A)
     _require_zero_one(cols)
     q = len(cols)
-    for k in range(3, min(n, q, order_cap) + 1, 2):
+    for k in range(3, min(n, q, BALANCED_ORACLE_ORDER_CAP) + 1, 2):
         for rows_used in combinations(range(n), k):
             for cols_used in combinations(range(q), k):
                 sub = [[cols[j][i] for j in cols_used] for i in rows_used]
@@ -275,9 +276,9 @@ def balanced_oracle(A, order_cap=7):
                         name="balanced-oracle", verdict=False, method=ORACLE,
                         witness={"rows": [i + 1 for i in rows_used],
                                  "columns": [j + 1 for j in cols_used]},
-                        search_bounds={"order_cap": order_cap})
+                        search_bounds={"order_cap": BALANCED_ORACLE_ORDER_CAP})
     return CheckReport(name="balanced-oracle", verdict=True, method=ORACLE,
-                       search_bounds={"order_cap": order_cap})
+                       search_bounds={"order_cap": BALANCED_ORACLE_ORDER_CAP})
 
 
 def _require_zero_one(cols):
@@ -324,33 +325,35 @@ def mfmc_check(C):
         if verdict else None)
 
 
-def cm_height_two_normal(pairs, dim_cap=HILBERT_DIM_CAP):
+def cm_height_two_normal(pairs):
     """Normality of a height-two cover construction: the pairs are read as
     the edges of a graph G; when the complement of G is chordal the Rees
     algebra of the cover ideal is asserted normal, otherwise the check
-    reports not-applicable with the witness cycle."""
+    reports not-applicable with the witness cycle.  The chordality search
+    expands at most clutters.CYCLE_SEARCH_BUDGET nodes."""
     pairs = [tuple(sorted(p)) for p in pairs]
     if not pairs:
         raise InputError("no pairs given")
     n = max(v for p in pairs for v in p)
     G = Graph(n, pairs)
+    bounds = {"node_budget": clutters.CYCLE_SEARCH_BUDGET}
     chordal, cycle = is_chordal(complement(G))
     if not chordal:
         return CheckReport(
             name="cm-height-two-normal", verdict=None, method=THEOREM_PATH,
             reason="complement graph is not chordal",
-            witness={"chordless_cycle": cycle})
-    normal = is_rees_normal(cover_ideal(edge_clutter(G)), dim_cap=dim_cap)
+            witness={"chordless_cycle": cycle}, search_bounds=bounds)
+    normal = is_rees_normal(cover_ideal(edge_clutter(G)))
     if not normal.verdict:
         raise AssertionError(
             "chordal complement but the cover ideal is not normal")
     return CheckReport(
         name="cm-height-two-normal", verdict=True, method=THEOREM_PATH,
         certificate=normal.certificate,
-        search_bounds=normal.search_bounds)
+        search_bounds={**normal.search_bounds, **bounds})
 
 
-def dual_balanced_normal(A, dim_cap=HILBERT_DIM_CAP):
+def dual_balanced_normal(A):
     """For a balanced 0/1 matrix, the Rees algebra on the complemented
     columns 1 - v_i is normal; skipped (with the witness) when the matrix
     is not balanced."""
@@ -361,7 +364,7 @@ def dual_balanced_normal(A, dim_cap=HILBERT_DIM_CAP):
             name="dual-balanced-normal", verdict=None, method=THEOREM_PATH,
             reason="matrix is not balanced", witness=balanced.witness)
     dual = dual_ideal(cols)
-    normal = is_rees_normal(dual, dim_cap=dim_cap)
+    normal = is_rees_normal(dual)
     if not normal.verdict:
         raise AssertionError("balanced matrix with a non-normal dual ideal")
     return CheckReport(

@@ -19,8 +19,8 @@ import time
 
 from . import blowup, checks
 from .clutters import (all_cliques, blocker, clique_equalization, cover_ideal,
-                       edge_clutter, maximal_cliques, minimal_vertex_covers)
-from .cones import HILBERT_DIM_CAP
+                       dual_ideal, edge_clutter, maximal_cliques,
+                       minimal_vertex_covers)
 from .errors import CapExceededError, InputError
 from .report import _plain
 from .textio import format_inequality, parse_input, read_labels
@@ -95,11 +95,12 @@ def check(report):
 
 def _cmd_check_perfect(doc, cfg):
     G = _doc_graph(doc)
-    cone = checks.perfect_via_rees_cone(G, cap=cfg["cap_n"])
+    cone = checks.perfect_via_rees_cone(G)
     holes = checks.perfect_via_odd_holes(G)
+    sections = [check(cone), check(holes)]
     if cone.verdict != holes.verdict:
-        raise AssertionError("cone characterization and odd hole search disagree")
-    return [check(cone), check(holes)], cone.verdict
+        raise AssertionError(f"perfection paths disagree: {json.dumps(sections)}")
+    return sections, cone.verdict
 
 
 def _cmd_rees_cone(doc, cfg):
@@ -129,10 +130,10 @@ def _cmd_simis_cone(doc, cfg):
 def _cmd_hilbert_basis(doc, cfg):
     if cfg["cone"] == "rees":
         ideal, origin = _cover_side_ideal(doc)
-        hb = blowup.rees_hilbert_basis(ideal, dim_cap=cfg["hb_dim_cap"])
+        hb = blowup.rees_hilbert_basis(ideal)
     else:
         ideal, origin = _edge_side_ideal(doc)
-        hb = blowup.simis_hilbert_basis(ideal, dim_cap=cfg["hb_dim_cap"])
+        hb = blowup.simis_hilbert_basis(ideal)
     return [
         data("ideal", {"origin": origin, "generators": ideal}),
         data("hilbert_basis", [{"vector": e, "monomial": _monomial(e)}
@@ -142,30 +143,27 @@ def _cmd_hilbert_basis(doc, cfg):
 
 def _cmd_check_normal(doc, cfg):
     ideal, origin = _cover_side_ideal(doc)
-    report = blowup.is_rees_normal(ideal, dim_cap=cfg["hb_dim_cap"])
+    report = blowup.is_rees_normal(ideal)
     return [data("ideal", {"origin": origin, "generators": ideal}),
             check(report)], report.verdict
 
 
 def _cmd_check_gorenstein(doc, cfg):
     G = _doc_graph(doc)
-    report = blowup.gorenstein_check(G, scan_bound=cfg["scan_bound"],
-                                     dim_cap=cfg["hb_dim_cap"])
+    report = blowup.gorenstein_check(G, scan_bound=cfg["scan_bound"])
     return [check(report)], report.verdict
 
 
 def _cmd_symbolic_gens(doc, cfg):
     G = _doc_graph(doc)
-    gens = blowup.symbolic_generators_perfect(
-        G, assume_perfect=cfg["assume_perfect"])
-    mode = "assumed-perfect" if cfg["assume_perfect"] else "verified-perfect"
-    return [data("perfection", mode),
+    gens = blowup.symbolic_generators_perfect(G)
+    return [data("perfection", "verified-perfect"),
             data("generators", [str(m) for m in gens])], NO_VERDICT
 
 
 def _cmd_check_tdi(doc, cfg):
     cols = _doc_columns(doc)
-    report = checks.tdi_check(cols, dim_cap=cfg["hb_dim_cap"])
+    report = checks.tdi_check(cols)
     return [check(report)], report.verdict
 
 
@@ -183,11 +181,11 @@ def _cmd_check_balanced(doc, cfg):
     cols = _doc_columns(doc)
     fast = checks.balanced_check(cols)
     sections = [check(fast)]
-    if len(cols) <= 7 and len(cols[0]) <= 7:
+    if max(len(cols), len(cols[0])) <= checks.BALANCED_ORACLE_ORDER_CAP:
         oracle = checks.balanced_oracle(cols)
-        if oracle.verdict != fast.verdict:
-            raise AssertionError("balancedness fast path and oracle disagree")
         sections.append(check(oracle))
+        if oracle.verdict != fast.verdict:
+            raise AssertionError(f"balancedness paths disagree: {json.dumps(sections)}")
     return sections, fast.verdict
 
 
@@ -226,7 +224,6 @@ def _cmd_dual_ideal(doc, cfg):
         vectors = list(_doc_columns(doc))
     else:
         raise InputError(f"command expects an ideal or matrix, got {doc.kind}")
-    from .clutters import dual_ideal
     return [data("dual_ideal", dual_ideal(vectors))], NO_VERDICT
 
 
@@ -244,8 +241,7 @@ def _cmd_clique_equalize(doc, cfg):
 
 def _cmd_check_cm2_normal(doc, cfg):
     G = _doc_graph(doc)
-    report = checks.cm_height_two_normal(list(G.edges),
-                                         dim_cap=cfg["hb_dim_cap"])
+    report = checks.cm_height_two_normal(list(G.edges))
     return [check(report)], report.verdict
 
 
@@ -282,9 +278,6 @@ def _build_parser():
                         help="machine-readable output")
     parser.add_argument("--assert", dest="assert_verdict", choices=["true", "false"],
                         help="exit 1 unless the primary verdict matches")
-    parser.add_argument("--cap-n", type=int, default=checks.PERFECT_CONE_CAP,
-                        help="vertex cap of check-perfect's cone path")
-    parser.add_argument("--hb-dim-cap", type=int, default=HILBERT_DIM_CAP)
     parser.add_argument("--alpha-box", type=int, default=None,
                         help="symmetric objective box for tdi-oracle, "
                              "at least 1")
@@ -297,8 +290,6 @@ def _build_parser():
                         help="which cone hilbert-basis works on")
     parser.add_argument("--all", dest="all_cliques", action="store_true",
                         help="also list non-maximal cliques")
-    parser.add_argument("--assume-perfect", action="store_true",
-                        help="skip the perfection check in symbolic-gens")
     parser.add_argument("--minimalize", action="store_true",
                         help="drop comparable clutter edges instead of rejecting")
     return parser
@@ -323,13 +314,10 @@ def run(args):
                 f"label file has {len(labels)} names for {doc.n} vertices")
         doc = dataclasses.replace(doc, labels=labels[:doc.n])
     cfg = {
-        "cap_n": args.cap_n,
-        "hb_dim_cap": args.hb_dim_cap,
         "alpha_box": args.alpha_box,
         "scan_bound": args.scan_bound,
         "cone": args.cone,
         "all_cliques": args.all_cliques,
-        "assume_perfect": args.assume_perfect,
         "strict_clutters": not args.minimalize,
     }
     started = time.monotonic()

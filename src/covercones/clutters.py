@@ -16,6 +16,8 @@ from itertools import combinations
 
 from .errors import CapExceededError, DegenerateMinorError, InputError
 
+CYCLE_SEARCH_BUDGET = 1_000_000
+
 
 def _mask_of(vertices):
     m = 0
@@ -391,15 +393,16 @@ def vertex_clique_matrix(G):
 # ---------------------------------------------------------------------------
 # induced cycles (used by the chordality, balancedness and perfection checks)
 
-def chordless_cycles(n, adjacency, min_len=4, budget=None):
+def chordless_cycles(n, adjacency, min_len=4):
     """Enumerate induced (chordless) cycles of length >= min_len.
 
     `adjacency` is a sequence indexed 1..n of neighbour bitmasks.  Cycles are
     yielded as vertex tuples starting at their smallest vertex, each exactly
-    once; the orientation with the smaller second vertex is kept.  With a
-    `budget`, the search raises CapExceededError once it would expand more
-    than that many nodes (induced paths).
+    once; the orientation with the smaller second vertex is kept.  The
+    search raises CapExceededError once it would expand more than
+    CYCLE_SEARCH_BUDGET nodes (induced paths).
     """
+    budget = CYCLE_SEARCH_BUDGET
     nodes = 0
     for s in range(1, n + 1):
         sbit = 1 << (s - 1)
@@ -410,7 +413,7 @@ def chordless_cycles(n, adjacency, min_len=4, budget=None):
             stack.append(((s, v), sbit | vb, adjacency[v] & higher & ~sbit & ~vb))
         while stack:
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > budget:
                 raise CapExceededError(
                     f"induced-cycle search exceeded its budget of {budget} nodes")
             path, mask, cand = stack.pop()

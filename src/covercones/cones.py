@@ -395,19 +395,19 @@ class HilbertBasis:
     cone: IntegerCone
 
 
-def require_hilbert_dim(dim, dim_cap=HILBERT_DIM_CAP):
-    """Refuse a dimension past the Hilbert basis cap.  A caller that builds
-    a cone only for its Hilbert basis asks first, because building the cone
-    runs the double description, which a refused input should not pay."""
-    if dim > dim_cap:
+def require_hilbert_dim(dim):
+    """Refuse a dimension past HILBERT_DIM_CAP.  A caller that builds a cone
+    only for its Hilbert basis asks first, because building the cone runs
+    the double description, which a refused input should not pay."""
+    if dim > HILBERT_DIM_CAP:
         raise CapExceededError(
-            f"Hilbert basis capped at dimension {dim_cap}, got {dim}")
+            f"Hilbert basis capped at dimension {HILBERT_DIM_CAP}, got {dim}")
 
 
-def hilbert_basis(cone, dim_cap=HILBERT_DIM_CAP):
+def hilbert_basis(cone):
     """Minimal integer generating set of all lattice points of a pointed
     cone.  Independent of the triangulation used internally."""
-    require_hilbert_dim(cone.dim, dim_cap)
+    require_hilbert_dim(cone.dim)
     rays = cone.extreme_rays()
     if not rays:
         return HilbertBasis(elements=(), cone=cone)

@@ -15,7 +15,8 @@ and integers are what int() reads.  Both formats allow the same
 characters; '#' starts a comment.  Both read into the same records of
 tokens with line and column, and one assembly per kind builds the
 InputDocument.  Vertex tokens that are all positive integers are 1-based
-indices; otherwise they are names, numbered by first appearance.
+indices; otherwise they are names, numbered by first appearance.  Graph
+and clutter documents are capped at MAX_VERTICES vertices.
 """
 
 import hashlib
@@ -25,9 +26,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .clutters import Clutter, Graph
-from .errors import InputError
+from .errors import CapExceededError, InputError
 
 KINDS = ("graph", "clutter", "matrix", "ideal")
+MAX_VERTICES = 128
 
 
 class ParseError(InputError):
@@ -182,8 +184,11 @@ def _vertices(records):
                 index = {name: i for i, name in enumerate(names, start=1)}
                 break
     else:
-        names = map(str, range(1, max(index.values(), default=0) + 1))
-    return tuple(names), [tuple([index[t.text] for t in r]) for r in records]
+        names = range(1, max(index.values(), default=0) + 1)
+    if len(names) > MAX_VERTICES:
+        raise CapExceededError(f"document names {len(names)} vertices, "
+                               f"past the cap of {MAX_VERTICES}")
+    return tuple(map(str, names)), [tuple([index[t.text] for t in r]) for r in records]
 
 
 def _assemble(kind, records, strict, end):
@@ -243,16 +248,16 @@ def read_labels(text):
     return tuple(names)
 
 
-def format_inequality(halfspace, var="a"):
+def format_inequality(halfspace):
     """Primitive-coefficient inequality with negative terms moved right:
     (1, 1, -1) >= 0 prints as 'a1 + a2 >= a3'."""
     left = []
     right = []
     for i, c in enumerate(halfspace.normal, start=1):
         if c > 0:
-            left.append(f"{var}{i}" if c == 1 else f"{c}*{var}{i}")
+            left.append(f"a{i}" if c == 1 else f"{c}*a{i}")
         elif c < 0:
-            right.append(f"{var}{i}" if c == -1 else f"{-c}*{var}{i}")
+            right.append(f"a{i}" if c == -1 else f"{-c}*a{i}")
     rhs = halfspace.rhs
     if rhs:
         right.append(str(rhs))

@@ -120,11 +120,11 @@ def test_symbolic_generators_for_perfect_graphs():
     assert {m.exponents + (m.t_degree,) for m in c4} == hb
 
 
-def test_symbolic_generators_reject_imperfect_unless_assumed():
+def test_symbolic_generators_reject_imperfect():
     with pytest.raises(InputError, match=r"odd hole \(1, 2, 3, 4, 5\)"):
         symbolic_generators_perfect(cycle_graph(5))
-    gens = symbolic_generators_perfect(cycle_graph(5), assume_perfect=True)
-    assert len(gens) == 10
+    # the unverified clique lifts stay available to a library caller
+    assert len(clique_lift_set(cycle_graph(5))) == 10
 
 
 def test_ehrhart_equality_fixtures():
@@ -310,3 +310,12 @@ def test_hilbert_basis_cap_refuses_before_a_cone_is_built(monkeypatch):
                     lambda: ehrhart_equality(edges)):
         with pytest.raises(CapExceededError):
             refused()
+
+
+def test_hilbert_dim_cap_is_read_at_call_time(monkeypatch):
+    from covercones import cones
+    covers = cover_ideal(edge_clutter(cycle_graph(4)))
+    assert is_rees_normal(covers).search_bounds == {"hb_dim_cap": 10}
+    monkeypatch.setattr(cones, "HILBERT_DIM_CAP", 4)
+    with pytest.raises(CapExceededError, match="dimension 4, got 5"):
+        is_rees_normal(covers)

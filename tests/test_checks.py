@@ -12,8 +12,8 @@ from covercones import (Clutter, Graph, InputError, IntegerCone,
                         perfect_matrix_check, perfect_via_odd_holes,
                         perfect_via_rees_cone, rees_cone, semigroup_member,
                         tdi_check, tdi_oracle, vertex_clique_matrix)
-from covercones.checks import (HOLE_SEARCH_BUDGET, _columns_of,
-                               _covering_minimum)
+from covercones import clutters
+from covercones.checks import _columns_of, _covering_minimum
 from covercones.errors import CapExceededError
 from covercones.lp import GE, INFEASIBLE, OPTIMAL, make_lp, solve_ilp_bounded
 
@@ -36,7 +36,7 @@ def test_cone_perfection_fixtures():
     with pytest.raises(InputError):
         perfect_via_rees_cone(Graph_with_isolated())
     with pytest.raises(CapExceededError):
-        perfect_via_rees_cone(cycle_graph(5), cap=4)
+        perfect_via_rees_cone(cycle_graph(10))
 
 
 def Graph_with_isolated():
@@ -85,7 +85,8 @@ def test_odd_hole_search_matches_definitional_oracle():
         report = perfect_via_odd_holes(G)
         assert report.verdict == is_perfect_definitional(G).verdict, G
         assert report.verdict == perfect_via_odd_holes(complement(G)).verdict, G
-        assert report.search_bounds == {"node_budget": HOLE_SEARCH_BUDGET}
+        assert report.search_bounds == {
+            "node_budget": clutters.CYCLE_SEARCH_BUDGET}
         if report.verdict:
             assert set(report.certificate) == {"even_holes", "even_antiholes"}
         else:
@@ -98,7 +99,7 @@ def test_odd_hole_search_matches_definitional_oracle():
     assert verdicts.count(False) == 45      # 9 with n <= 6, 36 random
 
 
-def test_odd_hole_search_fixtures_and_budget():
+def test_odd_hole_search_fixtures_and_budget(monkeypatch):
     assert perfect_via_odd_holes(cycle_graph(5)).witness == \
         {"odd_hole": (1, 2, 3, 4, 5)}
     c7bar = perfect_via_odd_holes(complement(cycle_graph(7)))
@@ -110,8 +111,9 @@ def test_odd_hole_search_fixtures_and_budget():
                  + [(v, v + 5) for v in range(1, 16)])
     for G in (grid, complete_bipartite(8, 8)):
         assert perfect_via_odd_holes(G).verdict is True
-    with pytest.raises(CapExceededError):
-        perfect_via_odd_holes(grid, budget=10)
+    monkeypatch.setattr(clutters, "CYCLE_SEARCH_BUDGET", 10)
+    with pytest.raises(CapExceededError, match="budget of 10 nodes"):
+        perfect_via_odd_holes(grid)
 
 
 def test_exhaustive_six_vertex_sweep():

@@ -185,9 +185,10 @@ def test_exit_codes_for_errors(write, capsys):
     bad = write("bad.graph", "graph { a-a }\n")
     assert main(["check-perfect", bad]) == 2
     capsys.readouterr()
-    big = write("c4.graph", "graph { a-b b-c c-d d-a }\n")
-    assert main(["check-perfect", big, "--cap-n", "3"]) == 3
-    capsys.readouterr()
+    c10 = write("c10.graph", "".join(f"{v} {v % 10 + 1}\n" for v in range(1, 11)))
+    assert main(["check-perfect", c10]) == 3
+    assert capsys.readouterr().err == (
+        "error: cone perfection check capped at n <= 9\n")
     missing_verdict = write("k2.graph", "graph { a-b }\n")
     assert main(["cliques", missing_verdict, "--assert", "true"]) == 2
     capsys.readouterr()
@@ -338,7 +339,8 @@ def test_json_reports_are_deterministic(write, capsys):
     first.pop("timing_ms"), second.pop("timing_ms")
     assert first == second
     assert first["schema_version"] == 1
-    assert first["config"]["cap_n"] == 9
+    assert set(first["config"]) == {"alpha_box", "all_cliques", "cone",
+                                     "scan_bound", "strict_clutters"}
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -347,3 +349,80 @@ def test_stdin_input(capsys, monkeypatch):
     code, report = run_json(capsys, ["cliques", "-"])
     assert code == 0
     assert report["results"][0]["value"] == [["a", "b"]]
+
+
+def test_disagreeing_perfection_paths_exit_4_with_both_reports(
+        write, capsys, monkeypatch):
+    import dataclasses
+    from covercones import checks
+    honest = checks.perfect_via_odd_holes
+
+    def flipped(G):
+        report = honest(G)
+        return dataclasses.replace(report, verdict=not report.verdict)
+
+    monkeypatch.setattr(checks, "perfect_via_odd_holes", flipped)
+    assert main(["check-perfect", write("c5.graph", PENTAGON)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "perfect-via-cone" in captured.err
+    assert "perfect-via-odd-holes" in captured.err
+
+
+def test_cm2_normal_records_its_cycle_budget(write, capsys, monkeypatch):
+    from covercones import clutters
+    bounds = {"node_budget": 1000000}
+    star = write("star.graph", "graph { 1-2 1-3 1-4 1-5 1-6 1-7 }\n")
+    code, report = run_json(capsys, ["check-cm2-normal", star])
+    assert code == 0 and report["primary_verdict"] is True
+    assert report["results"][0]["search_bounds"] == {"hb_dim_cap": 10, **bounds}
+    two_edges = write("2k2.graph", "graph { a-b c-d }\n")
+    code, report = run_json(capsys, ["check-cm2-normal", two_edges])
+    assert code == 0 and report["primary_verdict"] is None
+    assert report["results"][0]["search_bounds"] == bounds
+    # the chordality search of the star's complement, K6, expands 15 nodes
+    monkeypatch.setattr(clutters, "CYCLE_SEARCH_BUDGET", 10)
+    assert main(["check-cm2-normal", star]) == 3
+    assert capsys.readouterr().err == (
+        "error: induced-cycle search exceeded its budget of 10 nodes\n")
+
+
+def test_cliques_all_lists_every_clique(write, capsys):
+    code, report = run_json(capsys, ["cliques", write("c5.graph", PENTAGON),
+                                     "--all"])
+    assert code == 0
+    names, all_cliques = report["results"]
+    assert names["name"] == "maximal_cliques" and len(names["value"]) == 5
+    assert all_cliques["name"] == "all_cliques"
+    assert len(all_cliques["value"]) == 10
+
+
+def test_covers_minimalize_drops_comparable_edges(write, capsys):
+    path = write("nested.clutter", "clutter { {a} {a,b} }\n")
+    assert main(["covers", path]) == 2
+    assert "comparable edges" in capsys.readouterr().err
+    code, report = run_json(capsys, ["covers", path, "--minimalize"])
+    assert code == 0
+    assert report["results"][0]["value"] == [["a"]]
+
+
+@pytest.mark.parametrize("flag", [["--cap-n", "3"], ["--hb-dim-cap", "11"],
+                                  ["--assume-perfect"]])
+def test_removed_flags_are_refused(write, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["symbolic-gens", write("k3.graph", "graph { a-b b-c a-c }\n"),
+              *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_vertex_cap_of_documents(write, capsys):
+    code, report = run_json(capsys, ["covers", write("k2.graph",
+                                                     "graph { 1-128 }\n")])
+    assert code == 0 and report["input"]["n"] == 128
+    for text in ("graph { 1-129 }\n", "clutter { {1,129} }\n", "1 129\n",
+                 "graph { 1-10000000000 }\n"):
+        start = time.perf_counter()
+        assert main(["cliques", write("big.graph", text)]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.endswith("past the cap of 128\n")

@@ -50,6 +50,9 @@ def test_every_command_on_mutated_inputs_keeps_the_exit_code_contract(
     inputs += [doc.encode() for doc in (
         "graph { ²-1 }\n", "matrix { 1 ² ; 1 1 }\n", "1 ²\n",
         f"matrix {{ 1 {long} ; 1 1 }}\n", f"graph {{ 1-{long} }}\n", f"1 {long}\n")]
+    # short documents that name more vertices than the cap
+    capped = {b"graph { 1-10000000000 }\n", b"graph { 1-129 }\n"}
+    inputs += sorted(capped)
     path = tmp_path / "input.txt"
     codes = {0: 0, 2: 0, 3: 0}
     for data in inputs:
@@ -62,6 +65,7 @@ def test_every_command_on_mutated_inputs_keeps_the_exit_code_contract(
             out, err = capsys.readouterr()
             context = (command, data)
             assert code in codes, context
+            assert code == 3 or data not in capped, context
             codes[code] += 1
             if code == 0:
                 assert err == "", context
