@@ -11,7 +11,7 @@ oracle partner at small scale.
 from .blowup import (MonomialGenerator, ReesConeModel, SimisConeModel,
                      clique_lift_set, ehrhart_equality, gorenstein_check,
                      is_rees_normal, rees_cone, rees_hilbert_basis,
-                     simis_cone, simis_hilbert_basis,
+                     rees_lift_set, simis_cone, simis_hilbert_basis,
                      symbolic_generators_perfect)
 from .checks import (balanced_check, balanced_oracle, clique_halfspaces,
                      cm_height_two_normal, dual_balanced_normal, mfmc_check,
@@ -25,8 +25,9 @@ from .clutters import (Clutter, Graph, IncidenceMatrix, all_cliques, blocker,
                        maximal_independent_sets, minimal_vertex_covers,
                        vertex_clique_matrix)
 from .cones import (Halfspace, HilbertBasis, HRepPolyhedron, IntegerCone,
-                    SemigroupMembership, extreme_rays_of_halfspaces,
-                    facets_of_generators, hilbert_basis, is_integral,
+                    SemigroupMembership, capped_cone,
+                    extreme_rays_of_halfspaces, facets_of_generators,
+                    hilbert_basis, hilbert_basis_of, is_integral,
                     lattice_points_dilation, make_halfspace, polyhedron,
                     semigroup_member, vertices)
 from .errors import (CapExceededError, DegenerateMinorError, InfeasibleError,

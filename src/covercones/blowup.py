@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cones
-from .clutters import (Clutter, all_cliques, cover_ideal, edge_clutter,
-                       is_unmixed, minimal_vertex_covers)
-from .cones import (Halfspace, HRepPolyhedron, IntegerCone, hilbert_basis,
-                    homogenized_rays, make_halfspace, orthant,
-                    require_hilbert_dim)
+from .clutters import Clutter, all_cliques, cover_ideal, edge_clutter
+from .cones import (Halfspace, HRepPolyhedron, IntegerCone, hilbert_basis_of,
+                    homogenized_rays, make_halfspace, orthant)
 from .errors import CapExceededError, InputError
 from .linalg import dot
 from .report import THEOREM_PATH, CheckReport
@@ -55,10 +53,6 @@ class MonomialGenerator:
         t = "t" if self.t_degree == 1 else f"t^{self.t_degree}"
         return f"{mono} {t}" if mono else t
 
-    def as_dict(self):
-        return {"exponents": list(self.exponents), "t_degree": self.t_degree,
-                "monomial": str(self)}
-
 
 def _validated_ideal(ideal):
     out = []
@@ -86,20 +80,23 @@ def clutter_of_ideal(ideal):
 
 @dataclass(frozen=True)
 class ReesConeModel:
-    ideal: tuple
     lift_set: tuple      # e_1..e_n then (v_i, 1), the semigroup generators
     cone: IntegerCone
 
 
-def rees_cone(ideal):
-    """Cone over the unit vectors and the lifted ideal generators."""
+def rees_lift_set(ideal):
+    """e_1..e_n then the lifted ideal generators (v_i, 1): the generators
+    of the Rees algebra's semigroup and of its cone, in R^{n+1}."""
     ideal = _validated_ideal(ideal)
     n = len(ideal[0])
     lifts = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
-    lifts += [v + (1,) for v in ideal]
-    return ReesConeModel(
-        ideal=tuple(ideal), lift_set=tuple(lifts),
-        cone=IntegerCone.from_generators(n + 1, lifts))
+    return tuple(lifts + [v + (1,) for v in ideal])
+
+
+def rees_cone(ideal):
+    """Cone over the unit vectors and the lifted ideal generators."""
+    lifts = rees_lift_set(ideal)
+    return ReesConeModel(lifts, IntegerCone.from_generators(len(lifts[0]), lifts))
 
 
 def is_rees_normal(ideal):
@@ -115,29 +112,26 @@ def is_rees_normal(ideal):
     point of the cone that no combination reaches; its budget is the entry
     sum, the all-ones degree that bounds any combination.
     """
-    ideal = _validated_ideal(ideal)
-    require_hilbert_dim(len(ideal[0]) + 1)
-    return _normality_report(rees_cone(ideal))
+    lifts = rees_lift_set(ideal)
+    return _normality_report(
+        lifts, hilbert_basis_of(len(lifts[0]), generators=lifts))
 
 
-def _normality_report(model):
-    """The is_rees_normal report on a Rees cone model already built."""
-    hb = hilbert_basis(model.cone)
-    first_index = {}
-    for i, g in enumerate(model.lift_set):
-        first_index.setdefault(g, i)
+def _normality_report(lifts, hb):
+    """The is_rees_normal report from the lift set and the Hilbert basis
+    of its cone."""
+    outside = hb.first_outside(lifts)
+    if outside is not None:
+        return CheckReport(
+            name="rees-normal", verdict=False, method=THEOREM_PATH,
+            witness={"hilbert_basis_element": outside},
+            search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP,
+                           "budget": sum(outside)})
     certificates = []
     for element in hb.elements:
-        i = first_index.get(element)
-        if i is None:
-            return CheckReport(
-                name="rees-normal", verdict=False, method=THEOREM_PATH,
-                witness={"hilbert_basis_element": element},
-                search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP,
-                               "budget": sum(element)})
-        coefficients = tuple(int(j == i) for j in range(len(model.lift_set)))
-        certificates.append({"element": element,
-                             "coefficients": coefficients})
+        i = lifts.index(element)
+        certificates.append({"element": element, "coefficients": tuple(
+            int(j == i) for j in range(len(lifts)))})
     return CheckReport(
         name="rees-normal", verdict=True, method=THEOREM_PATH,
         certificate={"hilbert_basis_size": len(hb.elements),
@@ -147,7 +141,6 @@ def _normality_report(model):
 
 @dataclass(frozen=True)
 class SimisConeModel:
-    covers: tuple          # minimal cover exponent vectors u_k
     halfspaces: tuple      # the definitional list, possibly redundant
     cone: IntegerCone
 
@@ -158,29 +151,30 @@ class SimisConeModel:
         return tuple(h for h in self.halfspaces if h not in facets)
 
 
-def simis_cone(ideal):
-    """H-representation straight from the definition: coordinate halfspaces
-    e_1..e_{n+1} plus (u_k, -1) for every minimal vertex cover u_k.  The
-    list is kept verbatim (redundant members flagged, not dropped); the
-    cone's facet property is the irredundant view."""
+def _simis_halfspaces(ideal):
+    """Coordinate halfspaces e_1..e_{n+1} plus (u_k, -1) for every minimal
+    vertex cover u_k."""
     C = clutter_of_ideal(ideal)
-    n = C.n
-    covers = cover_ideal(C)
-    hs = orthant(n + 1) + [make_halfspace(u + (-1,)) for u in covers]
-    return SimisConeModel(
-        covers=tuple(covers), halfspaces=tuple(hs),
-        cone=IntegerCone.from_halfspaces(n + 1, hs))
+    return tuple(orthant(C.n + 1) + [make_halfspace(u + (-1,))
+                                     for u in cover_ideal(C)])
+
+
+def simis_cone(ideal):
+    """H-representation straight from the definition.  The list is kept
+    verbatim (redundant members flagged, not dropped); the cone's facet
+    property is the irredundant view."""
+    hs = _simis_halfspaces(ideal)
+    return SimisConeModel(hs, IntegerCone.from_halfspaces(len(hs[0].normal), hs))
 
 
 def rees_hilbert_basis(ideal):
-    ideal = _validated_ideal(ideal)
-    require_hilbert_dim(len(ideal[0]) + 1)
-    return hilbert_basis(rees_cone(ideal).cone)
+    lifts = rees_lift_set(ideal)
+    return hilbert_basis_of(len(lifts[0]), generators=lifts)
 
 
 def simis_hilbert_basis(ideal):
-    require_hilbert_dim(clutter_of_ideal(ideal).n + 1)
-    return hilbert_basis(simis_cone(ideal).cone)
+    hs = _simis_halfspaces(ideal)
+    return hilbert_basis_of(len(hs[0].normal), halfspaces=hs)
 
 
 def clique_lift_set(G):
@@ -234,16 +228,12 @@ def ehrhart_equality(ideal):
         raise InputError("no positive x0 with <v_i, x0> = 1 exists")
     x0 = tuple(Fraction(x, total[n]) for x in total[:n])
 
-    require_hilbert_dim(n + 1)
     lifts = [v + (1,) for v in ideal]
-    cone = IntegerCone.from_generators(n + 1, lifts)
-    hb = hilbert_basis(cone)
-    lift_set = set(lifts)
-    extra = [e for e in hb.elements if e not in lift_set]
-    verdict = not extra
+    outside = hilbert_basis_of(n + 1, generators=lifts).first_outside(lifts)
+    verdict = outside is None
     return CheckReport(
         name="ehrhart-equality", verdict=verdict, method=THEOREM_PATH,
-        witness=None if verdict else {"hilbert_basis_element": extra[0]},
+        witness=None if verdict else {"hilbert_basis_element": outside},
         certificate={"x0": tuple(str(x) for x in x0)},
         search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP})
 
@@ -283,21 +273,20 @@ def gorenstein_check(G, scan_bound=None):
         raise InputError(
             f"scan bound {bound} scans nothing: the interior scan starts "
             "at t-degree 2")
-    clutter = edge_clutter(G)
-    if not is_unmixed(clutter):
-        covers = minimal_vertex_covers(clutter)
+    covers = cover_ideal(edge_clutter(G))
+    cover_sizes = sorted({sum(u) for u in covers})
+    if len(cover_sizes) > 1:
         return CheckReport(
             name="gorenstein", verdict=None, method=THEOREM_PATH,
-            reason="not unmixed",
-            witness={"cover_sizes": sorted({len(c) for c in covers})})
-    require_hilbert_dim(n + 1)
-    model = rees_cone(cover_ideal(clutter))
-    normal = _normality_report(model)
+            reason="not unmixed", witness={"cover_sizes": cover_sizes})
+    lifts = rees_lift_set(covers)
+    hb = hilbert_basis_of(n + 1, generators=lifts)
+    normal = _normality_report(lifts, hb)
     if not normal.verdict:
         return CheckReport(
             name="gorenstein", verdict=None, method=THEOREM_PATH,
             reason="Rees algebra is not normal", witness=normal.witness)
-    cone = model.cone
+    cone = hb.cone
     ones = tuple([1] * (n + 1))
     if not cone.in_interior(ones):
         return CheckReport(

@@ -12,13 +12,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, lcm
 
-from . import clutters, cones
-from .blowup import is_rees_normal, rees_cone
+from . import clutters, cones, lp
+from .blowup import is_rees_normal, rees_lift_set
 from .clutters import (IncidenceMatrix, all_cliques, chordless_cycles,
                        cover_ideal, dual_ideal, edge_clutter, Graph,
                        incidence_matrix, is_chordal, complement,
                        minimal_vertex_covers)
-from .cones import (HRepPolyhedron, IntegerCone, Halfspace, hilbert_basis,
+from .cones import (HRepPolyhedron, Halfspace, capped_cone, hilbert_basis_of,
                     homogenized_rays, is_integral, make_halfspace, orthant,
                     vertices)
 from .errors import CapExceededError, InputError
@@ -26,7 +26,6 @@ from .linalg import dot
 from .lp import GE, OPTIMAL, LinearProgram, solve_ilp_bounded
 from .report import ORACLE, THEOREM_PATH, CheckReport
 
-PERFECT_CONE_CAP = 9
 BALANCED_ORACLE_ORDER_CAP = 7
 
 
@@ -61,26 +60,26 @@ def clique_halfspaces(G):
 def perfect_via_rees_cone(G):
     """Perfection through the cover ideal's cone geometry: the graph is
     perfect iff the irreducible facet list of the Rees cone of its cover
-    ideal is exactly the clique inequality list."""
+    ideal is exactly the clique inequality list.  The cone has dimension
+    n + 1, so n is capped at cones.HILBERT_DIM_CAP - 1."""
     if G.isolated_vertices():
         raise InputError("perfection checks need a graph without isolated vertices")
-    if G.n > PERFECT_CONE_CAP:
-        raise CapExceededError(f"cone perfection check capped at n <= {PERFECT_CONE_CAP}")
-    model = rees_cone(cover_ideal(edge_clutter(G)))
-    facets = set(model.cone.facets)
+    cone = capped_cone(G.n + 1, generators=rees_lift_set(
+        cover_ideal(edge_clutter(G))))
+    facets = set(cone.facets)
     cliques = set(clique_halfspaces(G))
+    bounds = {"n_cap": cones.HILBERT_DIM_CAP - 1}
     if facets == cliques:
         return CheckReport(
             name="perfect-via-cone", verdict=True, method=THEOREM_PATH,
-            certificate={"facets": len(facets)},
-            search_bounds={"n_cap": PERFECT_CONE_CAP})
+            certificate={"facets": len(facets)}, search_bounds=bounds)
     extra = sorted(facets - cliques)
     missing = sorted(cliques - facets)
     return CheckReport(
         name="perfect-via-cone", verdict=False, method=THEOREM_PATH,
         witness={"non_clique_facets": [h.normal for h in extra],
                  "clique_inequalities_not_facets": [h.normal for h in missing]},
-        search_bounds={"n_cap": PERFECT_CONE_CAP})
+        search_bounds=bounds)
 
 
 def perfect_via_odd_holes(G):
@@ -130,16 +129,11 @@ def tdi_check(A):
     """
     n, cols = _columns_of(A)
     nonneg_entries = all(x >= 0 for col in cols for x in col)
-    integral = perfect_matrix_check(A)
     lifted = [col + (1,) for col in cols]
     lifted += [tuple(-int(i == j) for j in range(n)) + (0,) for i in range(n)]
-    cone = IntegerCone.from_generators(n + 1, lifted)
-    if not cone.is_pointed():
-        raise AssertionError("lifted column cone is unexpectedly not pointed")
-    hb = hilbert_basis(cone)
-    generators = set(lifted)
-    lattice_witness = next(
-        (e for e in hb.elements if e not in generators), None)
+    hb = hilbert_basis_of(n + 1, generators=lifted)
+    lattice_witness = hb.first_outside(lifted)
+    integral = perfect_matrix_check(A)
     both = bool(integral.verdict) and lattice_witness is None
     if nonneg_entries:
         verdict = both
@@ -179,13 +173,15 @@ def _covering_minimum(n, cols):
     return minimum
 
 
-def tdi_oracle(A, alpha_lo=-2, alpha_hi=None):
+def tdi_oracle(A):
     """Definitional TDI cross-check on a small matrix: for every integral
-    objective alpha in the recorded box with a finite covering minimum
-    L = min{1.y : Ay >= alpha, y >= 0}, some integral y must attain L.
-    Bounded verification; the boxes are part of the report, and an alpha
-    box without a non-zero objective is an input error: alpha = 0 alone
-    proves nothing.
+    objective alpha in the box [-2, max row sum]^n with a finite covering
+    minimum L = min{1.y : Ay >= alpha, y >= 0}, some integral y must attain
+    L.  Bounded verification; the boxes are part of the report.  Each
+    objective and each branch-and-bound node of its integer program is
+    charged to lp.NODE_BUDGET, which also stops each integer program on
+    its own, so a run does at most about twice the budget before it raises
+    CapExceededError.
 
     The box 0 <= y_j <= y_hi holds an integral optimum when the matrix is
     non-negative.  With negative entries the box of alpha also reaches
@@ -193,12 +189,10 @@ def tdi_oracle(A, alpha_lo=-2, alpha_hi=None):
     """
     n, cols = _columns_of(A)
     q = len(cols)
-    if alpha_hi is None:
-        alpha_hi = max(sum(col[i] for col in cols) for i in range(n))
-    if alpha_lo > alpha_hi or alpha_lo == alpha_hi == 0:
-        raise InputError(f"alpha box [{alpha_lo}, {alpha_hi}] holds no "
-                         f"non-zero objective")
-    max_alpha = max(abs(alpha_lo), abs(alpha_hi))
+    alpha_hi = max(sum(col[i] for col in cols) for i in range(n))
+    if alpha_hi < -2:
+        raise InputError(f"alpha box [-2, {alpha_hi}] holds no objective")
+    max_alpha = max(2, abs(alpha_hi))
     row_max = max((sum(col) for col in cols), default=0)
     y_hi = max_alpha + row_max
     nonneg_entries = all(x >= 0 for col in cols for x in col)
@@ -206,7 +200,15 @@ def tdi_oracle(A, alpha_lo=-2, alpha_hi=None):
     rows = tuple(tuple(col[i] for col in cols) for i in range(n))  # A y
     widest = y_hi
     checked = 0
-    for alpha in product(range(alpha_lo, alpha_hi + 1), repeat=n):
+    budget = lp.NODE_BUDGET
+    spent = 0
+    bounds = {"alpha_box": [-2, alpha_hi], "node_budget": budget}
+    for alpha in product(range(-2, alpha_hi + 1), repeat=n):
+        spent += 1
+        if spent > budget:
+            raise CapExceededError(
+                f"TDI oracle exceeded its budget of {budget} objectives "
+                "and branch-and-bound nodes")
         lp_value = covering(alpha)
         if lp_value is None:
             continue  # no finite minimum for this alpha
@@ -216,17 +218,17 @@ def tdi_oracle(A, alpha_lo=-2, alpha_hi=None):
         prog = LinearProgram(objective=(1,) * q, rows=rows, rhs=alpha,
                              senses=(GE,) * n, nonneg=(True,) * q)
         ilp = solve_ilp_bounded(prog, [(0, box_hi)] * q)
+        spent += ilp.nodes
         if ilp.status != OPTIMAL or ilp.value != lp_value:
             return CheckReport(
                 name="tdi-oracle", verdict=False, method=ORACLE,
                 witness={"alpha": alpha, "lp_value": lp_value,
                          "ilp_value": ilp.value},
-                search_bounds={"alpha_box": [alpha_lo, alpha_hi],
-                               "y_box": [0, box_hi]})
+                search_bounds={**bounds, "y_box": [0, box_hi]})
     return CheckReport(
         name="tdi-oracle", verdict=True, method=ORACLE,
         certificate={"objectives_checked": checked},
-        search_bounds={"alpha_box": [alpha_lo, alpha_hi], "y_box": [0, widest]})
+        search_bounds={**bounds, "y_box": [0, widest]})
 
 
 def balanced_check(A):
@@ -299,6 +301,8 @@ def mfmc_check(C):
             reason=f"edges have mixed cardinalities {sorted(sizes)}")
     A = incidence_matrix(C)
     n, cols = A.n, list(A.columns)
+    covers = {tuple(1 if i in set(c) else 0 for i in range(1, n + 1))
+              for c in minimal_vertex_covers(C)}
     covering = HRepPolyhedron(n, tuple(
         orthant(n) + [Halfspace(col, 1) for col in cols]))
     packing_report = is_integral(_packing_polytope(n, cols))
@@ -308,8 +312,6 @@ def mfmc_check(C):
     integral_vertices = {
         tuple(int(x) for x in v)
         for v in covering_verts if all(x.denominator == 1 for x in v)}
-    covers = {tuple(1 if i in set(c) else 0 for i in range(1, n + 1))
-              for c in minimal_vertex_covers(C)}
     if integral_vertices != covers:
         raise AssertionError(
             "integral covering vertices differ from the minimal covers")

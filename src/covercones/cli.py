@@ -168,12 +168,7 @@ def _cmd_check_tdi(doc, cfg):
 
 
 def _cmd_tdi_oracle(doc, cfg):
-    cols = _doc_columns(doc)
-    if cfg["alpha_box"] is not None:
-        report = checks.tdi_oracle(cols, alpha_lo=-cfg["alpha_box"],
-                                   alpha_hi=cfg["alpha_box"])
-    else:
-        report = checks.tdi_oracle(cols)
+    report = checks.tdi_oracle(_doc_columns(doc))
     return [check(report)], report.verdict
 
 
@@ -278,9 +273,6 @@ def _build_parser():
                         help="machine-readable output")
     parser.add_argument("--assert", dest="assert_verdict", choices=["true", "false"],
                         help="exit 1 unless the primary verdict matches")
-    parser.add_argument("--alpha-box", type=int, default=None,
-                        help="symmetric objective box for tdi-oracle, "
-                             "at least 1")
     parser.add_argument("--scan-bound", type=int, default=None,
                         help="t-degree bound of the Gorenstein interior "
                              "scan, at least 2")
@@ -314,7 +306,6 @@ def run(args):
                 f"label file has {len(labels)} names for {doc.n} vertices")
         doc = dataclasses.replace(doc, labels=labels[:doc.n])
     cfg = {
-        "alpha_box": args.alpha_box,
         "scan_bound": args.scan_bound,
         "cone": args.cone,
         "all_cliques": args.all_cliques,

@@ -17,6 +17,7 @@ from itertools import combinations
 from .errors import CapExceededError, DegenerateMinorError, InputError
 
 CYCLE_SEARCH_BUDGET = 1_000_000
+ENUMERATION_BUDGET = 1_000_000
 
 
 def _mask_of(vertices):
@@ -42,6 +43,15 @@ def _bits(mask):
         low = mask & -mask
         yield low
         mask ^= low
+
+
+def _charge(spent, cost, what):
+    """spent + cost, or CapExceededError once past ENUMERATION_BUDGET."""
+    spent += cost
+    if spent > ENUMERATION_BUDGET:
+        raise CapExceededError(
+            f"{what} exceeded its budget of {ENUMERATION_BUDGET} nodes")
+    return spent
 
 
 class Graph:
@@ -175,15 +185,19 @@ def maximal_cliques(G):
     """All inclusion-maximal cliques (Bron-Kerbosch with pivoting).
 
     The pivot choice only affects the search order; the returned set is
-    sorted canonically and independent of it.
+    sorted canonically and independent of it.  The search raises
+    CapExceededError past ENUMERATION_BUDGET nodes.
     """
     if G.n == 0:
         return []
     adj = G.adj
     full = (1 << G.n) - 1
     out = []
+    nodes = 0
 
     def expand(r, p, x):
+        nonlocal nodes
+        nodes = _charge(nodes, 1, "maximal clique search")
         if not p and not x:
             out.append(r)
             return
@@ -204,11 +218,16 @@ def maximal_cliques(G):
 
 
 def all_cliques(G):
-    """All non-empty cliques, the empty clique excluded."""
+    """All non-empty cliques, the empty clique excluded.  The search
+    raises CapExceededError past ENUMERATION_BUDGET nodes, one per clique
+    and one for the empty clique."""
     adj = G.adj
     out = []
+    nodes = 0
 
     def grow(mask, cand):
+        nonlocal nodes
+        nodes = _charge(nodes, 1, "clique enumeration")
         for vb in _bits(cand):
             v = vb.bit_length()
             m = mask | vb
@@ -220,10 +239,13 @@ def all_cliques(G):
 
 
 def minimal_vertex_covers(C):
-    """All minimal transversals, by Berge's sequential edge expansion."""
+    """All minimal transversals, by Berge's sequential edge expansion.
+    Each candidate, and each subset test of its minimality filter, costs
+    one node; past ENUMERATION_BUDGET nodes CapExceededError is raised."""
     if not C.edges:
         raise InputError("clutter has no edges")
     partial = [0]
+    spent = 0
     for e in C.masks():
         grown = []
         for t in partial:
@@ -234,6 +256,7 @@ def minimal_vertex_covers(C):
         grown = sorted(set(grown), key=lambda m: m.bit_count())
         keep = []
         for m in grown:
+            spent = _charge(spent, 1 + len(keep), "minimal cover expansion")
             if not any(k & m == k for k in keep):
                 keep.append(m)
         partial = keep

@@ -59,9 +59,6 @@ class Halfspace:
     def strictly_holds(self, point):
         return dot(self.normal, point) > self.rhs
 
-    def as_dict(self):
-        return {"normal": list(self.normal), "rhs": self.rhs}
-
 
 def make_halfspace(normal, rhs=0):
     normal = tuple(int(x) for x in normal)
@@ -394,20 +391,39 @@ class HilbertBasis:
     elements: tuple
     cone: IntegerCone
 
+    def first_outside(self, generators):
+        """The first basis element that is not among the generators, or
+        None.  An irreducible element is a combination of the generators
+        only when it is one of them, so None means they span the cone's
+        lattice points."""
+        generators = set(generators)
+        return next((e for e in self.elements if e not in generators), None)
 
-def require_hilbert_dim(dim):
-    """Refuse a dimension past HILBERT_DIM_CAP.  A caller that builds a cone
-    only for its Hilbert basis asks first, because building the cone runs
-    the double description, which a refused input should not pay."""
+
+def _refuse_past_cap(dim):
     if dim > HILBERT_DIM_CAP:
         raise CapExceededError(
-            f"Hilbert basis capped at dimension {HILBERT_DIM_CAP}, got {dim}")
+            f"cone capped at dimension {HILBERT_DIM_CAP}, got {dim}")
+
+
+def capped_cone(dim, generators=None, halfspaces=None):
+    """IntegerCone(dim, generators, halfspaces), refused past
+    HILBERT_DIM_CAP before its double description runs: every cone that a
+    theorem path takes apart whole is built here."""
+    _refuse_past_cap(dim)
+    return IntegerCone(dim, generators, halfspaces)
+
+
+def hilbert_basis_of(dim, generators=None, halfspaces=None):
+    """Hilbert basis of the cone of the given generators or halfspaces,
+    refused past HILBERT_DIM_CAP before the cone is built."""
+    return hilbert_basis(capped_cone(dim, generators, halfspaces))
 
 
 def hilbert_basis(cone):
     """Minimal integer generating set of all lattice points of a pointed
     cone.  Independent of the triangulation used internally."""
-    require_hilbert_dim(cone.dim)
+    _refuse_past_cap(cone.dim)
     rays = cone.extreme_rays()
     if not rays:
         return HilbertBasis(elements=(), cone=cone)
@@ -434,13 +450,6 @@ class SemigroupMembership:
     coefficients: tuple | None
     grading: tuple
     budget: int
-
-    def as_dict(self):
-        return {"member": self.member,
-                "coefficients": None if self.coefficients is None
-                else list(self.coefficients),
-                "grading": list(self.grading),
-                "budget": self.budget}
 
 
 def positive_grading(generators):

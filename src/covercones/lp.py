@@ -5,9 +5,11 @@ tdi_oracle compares against are read off a double description.
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 
 LE, GE, EQ = "<=", ">=", "=="
+
+NODE_BUDGET = 500_000
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -63,6 +65,7 @@ class ILPResult:
     value: int | None
     point: tuple | None
     box: tuple
+    nodes: int = 0        # branch-and-bound nodes visited
 
 
 def solve_ilp_bounded(lp, box):
@@ -70,7 +73,8 @@ def solve_ilp_bounded(lp, box):
     branch-and-bound: variables are fixed one at a time, and a branch is cut
     when interval arithmetic over the unfixed variables shows that either
     some constraint cannot be met or the objective cannot beat the
-    incumbent.  Enumeration is exhaustive up to those exact prunings.
+    incumbent.  Enumeration is exhaustive up to those exact prunings, and
+    raises CapExceededError past NODE_BUDGET nodes.
 
     `box` gives inclusive (lo, hi) integer bounds per variable.
     """
@@ -113,8 +117,14 @@ def solve_ilp_bounded(lp, box):
         return False
 
     point = [0] * n
+    nodes = 0
 
     def descend(depth, partial):
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise CapExceededError(
+                f"branch-and-bound exceeded its budget of {NODE_BUDGET} nodes")
         if prune(depth, partial):
             return
         if depth == n:
@@ -132,6 +142,5 @@ def solve_ilp_bounded(lp, box):
 
     descend(0, [0] * len(rows))
     if best[0] is None:
-        return ILPResult(status=INFEASIBLE, value=None, point=None, box=box)
-    return ILPResult(status=OPTIMAL, value=sign * best[0], point=best[1],
-                     box=box)
+        return ILPResult(INFEASIBLE, None, None, box, nodes)
+    return ILPResult(OPTIMAL, sign * best[0], best[1], box, nodes)

@@ -54,6 +54,4 @@ def _plain(obj):
         if isinstance(obj, (set, frozenset)):
             items = sorted(items)
         return [_plain(x) for x in items]
-    if hasattr(obj, "as_dict"):
-        return obj.as_dict()
     return str(obj)

@@ -6,11 +6,11 @@ from covercones import (CapExceededError, InputError, IntegerCone,
                         MonomialGenerator, blowup, clique_lift_set,
                         complement, cover_ideal, edge_clutter,
                         ehrhart_equality, gorenstein_check, hilbert_basis,
-                        is_rees_normal, is_unmixed, lattice_points_dilation,
-                        maximal_independent_sets,
+                        incidence_matrix, is_rees_normal, is_unmixed,
+                        lattice_points_dilation, maximal_independent_sets,
                         rees_cone, rees_hilbert_basis, semigroup_member,
                         simis_cone, simis_hilbert_basis,
-                        symbolic_generators_perfect)
+                        symbolic_generators_perfect, tdi_check)
 
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
                     cycle_graph, no_isolated, path_graph, paw_graph,
@@ -295,19 +295,23 @@ def test_paw_chain_normality_is_preserved_under_contraction():
 
 
 def test_hilbert_basis_cap_refuses_before_a_cone_is_built(monkeypatch):
-    # a cone runs its double description when it is built, so an input
-    # past the dimension cap must be refused before that
+    # a cone runs its double description when it is built, and so does the
+    # vertex list of tdi_check's packing polytope, so an input past the
+    # dimension cap must be refused before either
     def unbuildable(*args, **kwargs):
-        raise AssertionError("cone built past the Hilbert basis cap")
+        raise AssertionError("double description run past the cap")
 
-    monkeypatch.setattr(IntegerCone, "from_generators", unbuildable)
-    monkeypatch.setattr(IntegerCone, "from_halfspaces", unbuildable)
+    from covercones import cones
+    monkeypatch.setattr(IntegerCone, "__init__", unbuildable)
+    monkeypatch.setattr(cones, "vertices", unbuildable)
     C10 = cycle_graph(10)
     covers, edges = cover_ideal(edge_clutter(C10)), edge_ideal(C10)
     for refused in (lambda: is_rees_normal(covers),
                     lambda: rees_hilbert_basis(covers),
                     lambda: simis_hilbert_basis(edges),
-                    lambda: ehrhart_equality(edges)):
+                    lambda: ehrhart_equality(edges),
+                    lambda: tdi_check(incidence_matrix(edge_clutter(C10))),
+                    lambda: gorenstein_check(complete_bipartite(5, 5))):
         with pytest.raises(CapExceededError):
             refused()
 

@@ -172,6 +172,15 @@ def test_tdi_oracle_fixtures():
         Fraction(3, 2), 2)
 
 
+def test_tdi_oracle_stops_past_its_budget(monkeypatch):
+    from covercones import lp
+    A = vertex_clique_matrix(complete_graph(2))
+    assert tdi_oracle(A).search_bounds["node_budget"] == lp.NODE_BUDGET
+    monkeypatch.setattr(lp, "NODE_BUDGET", 3)
+    with pytest.raises(CapExceededError, match="budget of 3 "):
+        tdi_oracle(A)
+
+
 # 2 -1 2 / -1 1 -1: alpha = (-1, 3) needs y = (0, 5, 2), past y_hi = 4
 NEGATIVE_ENTRIES = [(2, -1), (-1, 1), (2, -1)]
 # the second row is zero: e_2 is a recession ray of the packing polytope

@@ -188,7 +188,7 @@ def test_exit_codes_for_errors(write, capsys):
     c10 = write("c10.graph", "".join(f"{v} {v % 10 + 1}\n" for v in range(1, 11)))
     assert main(["check-perfect", c10]) == 3
     assert capsys.readouterr().err == (
-        "error: cone perfection check capped at n <= 9\n")
+        "error: cone capped at dimension 10, got 11\n")
     missing_verdict = write("k2.graph", "graph { a-b }\n")
     assert main(["cliques", missing_verdict, "--assert", "true"]) == 2
     capsys.readouterr()
@@ -240,15 +240,15 @@ def test_gorenstein_walk_past_its_budget_exits_3(write, capsys):
     assert captured.out == ""
 
 
-def test_empty_tdi_oracle_box_is_rejected(write, capsys):
+def test_alpha_box_flag_is_gone(write, capsys):
     path = write("triangle.mat", "matrix { 1 1 0 ; 0 1 1 ; 1 0 1 }\n")
-    for box in ("-1", "0"):
-        assert main(["tdi-oracle", path, "--alpha-box", box]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert "Traceback" not in captured.err + captured.out
-    code, report = run_json(capsys, ["tdi-oracle", path, "--alpha-box", "1"])
+    with pytest.raises(SystemExit) as exc:
+        main(["tdi-oracle", path, "--alpha-box", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha-box 1" in capsys.readouterr().err
+    code, report = run_json(capsys, ["tdi-oracle", path])
     assert code == 0 and report["primary_verdict"] is False
+    assert report["results"][0]["search_bounds"]["alpha_box"] == [-2, 2]
 
 
 def test_tdi_oracle_on_a_matrix_with_negative_entries(write, capsys):
@@ -339,8 +339,8 @@ def test_json_reports_are_deterministic(write, capsys):
     first.pop("timing_ms"), second.pop("timing_ms")
     assert first == second
     assert first["schema_version"] == 1
-    assert set(first["config"]) == {"alpha_box", "all_cliques", "cone",
-                                     "scan_bound", "strict_clutters"}
+    assert set(first["config"]) == {"all_cliques", "cone", "scan_bound",
+                                     "strict_clutters"}
 
 
 def test_stdin_input(capsys, monkeypatch):

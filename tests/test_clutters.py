@@ -211,6 +211,20 @@ def test_chromatic_and_clique_numbers():
             assert chromatic_number(G) >= clique_number(G)
 
 
+def test_enumerations_stop_past_their_budget(monkeypatch):
+    from covercones import clutters
+    K6 = complete_graph(6)
+    matching = Graph(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
+    enumerations = (lambda: all_cliques(K6),
+                    lambda: maximal_cliques(complement(matching)),
+                    lambda: minimal_vertex_covers(edge_clutter(matching)))
+    assert [len(run()) for run in enumerations] == [63, 16, 16]
+    monkeypatch.setattr(clutters, "ENUMERATION_BUDGET", 20)
+    for run in enumerations:
+        with pytest.raises(CapExceededError, match="budget of 20 nodes"):
+            run()
+
+
 def test_perfection_oracle_examples():
     r = is_perfect_definitional(cycle_graph(5))
     assert r.verdict is False and r.witness["subset"] == (1, 2, 3, 4, 5)

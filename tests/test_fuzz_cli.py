@@ -19,6 +19,22 @@ DOCUMENTS = (
     "ideal { [1 1 0] [0 1 1] [1 0 1] }\n",
     "1 2\n2 3\n3 1  # a triangle\n",
 )
+
+
+def _matrix(rows):
+    return "matrix { " + " ; ".join(" ".join(map(str, r)) for r in rows) + " }\n"
+
+
+# inputs past a cap or budget of some command: the incidence matrix of C10,
+# a 2 x 20 0/1 matrix whose integer programs outgrow the node budget, and
+# the 16-edge perfect matching, which has 2^16 minimal vertex covers
+LARGE = (
+    _matrix([[int(v in (j, (j + 1) % 10)) for j in range(10)]
+             for v in range(10)]),
+    "matrix { 1 1 0 1 0 1 0 0 0 1 0 0 0 1 0 0 0 0 0 0 ;"
+    " 0 0 1 1 1 1 0 1 0 1 0 0 0 0 1 0 1 1 0 1 }\n",
+    "graph { " + " ".join(f"{v}-{v + 1}" for v in range(1, 32, 2)) + " }\n",
+)
 PIECES = (tuple("{}[]-,;#") + tuple("0123456789")
           + ("a", "b", "z_1", " ", "\n")
           + ("graph", "clutter", "matrix", "ideal"))
@@ -53,15 +69,13 @@ def test_every_command_on_mutated_inputs_keeps_the_exit_code_contract(
     # short documents that name more vertices than the cap
     capped = {b"graph { 1-10000000000 }\n", b"graph { 1-129 }\n"}
     inputs += sorted(capped)
+    inputs += [doc.encode() for doc in LARGE]
     path = tmp_path / "input.txt"
     codes = {0: 0, 2: 0, 3: 0}
     for data in inputs:
         path.write_bytes(data)
         for command in sorted(COMMANDS):
-            argv = [command, str(path), "--json"]
-            if command == "tdi-oracle":
-                argv += ["--alpha-box", "1"]
-            code = main(argv)
+            code = main([command, str(path), "--json"])
             out, err = capsys.readouterr()
             context = (command, data)
             assert code in codes, context

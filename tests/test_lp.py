@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from covercones import InputError, make_lp, solve_ilp_bounded
+from covercones import CapExceededError, InputError, make_lp, solve_ilp_bounded
 from covercones.lp import EQ, GE, INFEASIBLE, LE, OPTIMAL
 
 from corpus import cycle_graph
@@ -82,6 +82,17 @@ def test_bounded_ilp_examples():
 
     infeasible = make_lp([1], [[1], [-1]], [2, 0], [GE, GE])
     assert solve_ilp_bounded(infeasible, [(0, 1)]).status == INFEASIBLE
+
+
+def test_branch_and_bound_stops_past_its_node_budget(monkeypatch):
+    from covercones import lp
+    prog = make_lp([1] * 5, [[1] * 5], [3], [GE])
+    res = solve_ilp_bounded(prog, [(0, 3)] * 5)
+    assert res.status == OPTIMAL and res.value == 3 and res.nodes > 1
+    monkeypatch.setattr(lp, "NODE_BUDGET", res.nodes - 1)
+    with pytest.raises(CapExceededError,
+                       match=f"budget of {res.nodes - 1} nodes"):
+        solve_ilp_bounded(prog, [(0, 3)] * 5)
 
 
 def test_ilp_rejects_empty_box():
