@@ -25,7 +25,7 @@ from .clutters import (Clutter, Graph, IncidenceMatrix, all_cliques, blocker,
                        maximal_independent_sets, minimal_vertex_covers,
                        vertex_clique_matrix)
 from .cones import (Halfspace, HilbertBasis, HRepPolyhedron, IntegerCone,
-                    SemigroupMembership, capped_cone,
+                    SemigroupMembership,
                     extreme_rays_of_halfspaces, facets_of_generators,
                     hilbert_basis, hilbert_basis_of, is_integral,
                     lattice_points_dilation, make_halfspace, polyhedron,

@@ -96,7 +96,7 @@ def rees_lift_set(ideal):
 def rees_cone(ideal):
     """Cone over the unit vectors and the lifted ideal generators."""
     lifts = rees_lift_set(ideal)
-    return ReesConeModel(lifts, IntegerCone.from_generators(len(lifts[0]), lifts))
+    return ReesConeModel(lifts, IntegerCone(len(lifts[0]), lifts))
 
 
 def is_rees_normal(ideal):
@@ -164,7 +164,7 @@ def simis_cone(ideal):
     verbatim (redundant members flagged, not dropped); the cone's facet
     property is the irredundant view."""
     hs = _simis_halfspaces(ideal)
-    return SimisConeModel(hs, IntegerCone.from_halfspaces(len(hs[0].normal), hs))
+    return SimisConeModel(hs, IntegerCone(len(hs[0].normal), halfspaces=hs))
 
 
 def rees_hilbert_basis(ideal):

@@ -18,7 +18,7 @@ from .clutters import (IncidenceMatrix, all_cliques, chordless_cycles,
                        cover_ideal, dual_ideal, edge_clutter, Graph,
                        incidence_matrix, is_chordal, complement,
                        minimal_vertex_covers)
-from .cones import (HRepPolyhedron, Halfspace, capped_cone, hilbert_basis_of,
+from .cones import (HRepPolyhedron, Halfspace, IntegerCone, hilbert_basis_of,
                     homogenized_rays, is_integral, make_halfspace, orthant,
                     vertices)
 from .errors import CapExceededError, InputError
@@ -60,15 +60,14 @@ def clique_halfspaces(G):
 def perfect_via_rees_cone(G):
     """Perfection through the cover ideal's cone geometry: the graph is
     perfect iff the irreducible facet list of the Rees cone of its cover
-    ideal is exactly the clique inequality list.  The cone has dimension
-    n + 1, so n is capped at cones.HILBERT_DIM_CAP - 1."""
+    ideal is exactly the clique inequality list.  The facets come from one
+    double description, bounded by cones.DD_BUDGET ray pairs."""
     if G.isolated_vertices():
         raise InputError("perfection checks need a graph without isolated vertices")
-    cone = capped_cone(G.n + 1, generators=rees_lift_set(
-        cover_ideal(edge_clutter(G))))
-    facets = set(cone.facets)
+    lifts = rees_lift_set(cover_ideal(edge_clutter(G)))
+    facets = set(IntegerCone(G.n + 1, lifts).facets)
     cliques = set(clique_halfspaces(G))
-    bounds = {"n_cap": cones.HILBERT_DIM_CAP - 1}
+    bounds = {"dd_budget": cones.DD_BUDGET}
     if facets == cliques:
         return CheckReport(
             name="perfect-via-cone", verdict=True, method=THEOREM_PATH,

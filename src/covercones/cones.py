@@ -4,12 +4,13 @@ The central object is IntegerCone, a pointed-or-not rational cone carried in
 dual form: an integer generator list and an irredundant list of primitive
 facet normals, both fixed when the cone is built.  Conversions between the
 two descriptions run the double description method in exact integer
-arithmetic; the insertion order sorts constraints by increasing number of
-zero entries (a mild anti-blowup heuristic) and the final output is
-canonically sorted, so it never depends on that order.  It is the one
-polyhedral engine: the vertices of an affine polyhedron are the rays of its
-homogenization, and the lattice points of a dilated polytope are tested
-against the facets of the cone over it.
+arithmetic: the sparsest constraints go first (the coordinate halfspaces
+lead, which keeps the intermediate ray lists small), and past DD_BUDGET ray
+pairs it raises CapExceededError.  The output is canonically sorted, so it
+never depends on that order.  It is the one polyhedral engine: the
+vertices of an affine polyhedron are the rays of its homogenization, and the
+lattice points of a dilated polytope are tested against the facets of the
+cone over it.
 
 Hilbert bases are computed the classical way: triangulate the cone (a
 pulling triangulation read off the cone's own ray/facet incidences, so no
@@ -40,6 +41,7 @@ from .linalg import diagonalize, dot, gcd_vec, primitive, rank_int, \
 from .report import ORACLE, CheckReport
 
 HILBERT_DIM_CAP = 10
+DD_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -74,22 +76,24 @@ def make_halfspace(normal, rhs=0):
 # ---------------------------------------------------------------------------
 # double description
 
-def _insertion_order(normals):
-    return sorted(normals, key=lambda a: (sum(1 for x in a if x == 0), a))
-
-
 def _dd_pair(dim, normals):
     """Extreme rays and lineality basis of {x : <a, x> >= 0 for all a}.
 
     Returns (rays, lineality); rays are primitive integer vectors, minimal
     and unique up to order modulo the lineality space.  Rays carry tight-set
     bitmasks over the processed constraints, which drive the combinatorial
-    adjacency test of the classical algorithm.
+    adjacency test of the classical algorithm.  Two rays are adjacent only
+    when the constraints tight on both have rank dim - dim(lineality) - 2,
+    so a pair with fewer common tight constraints is rejected untested
+    (Fukuda and Prodon, "Double description method revisited", 1996).
+    Raises CapExceededError once more than DD_BUDGET ray pairs are tested.
     """
-    normals = _insertion_order({primitive(a) for a in normals if any(a)})
+    normals = sorted({primitive(a) for a in normals if any(a)},
+                     key=lambda a: (sum(1 for x in a if x), a))
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []      # pairs [vector, tight-mask]
     processed = []
+    pairs = 0
 
     for a in normals:
         vals = [dot(a, l) for l in lineality]
@@ -126,6 +130,12 @@ def _dd_pair(dim, normals):
             pos = [(vec, m, s) for (vec, m), s in zip(rays, signs) if s > 0]
             zero = [(vec, m) for (vec, m), s in zip(rays, signs) if s == 0]
             neg = [(vec, m, s) for (vec, m), s in zip(rays, signs) if s < 0]
+            pairs += len(pos) * len(neg)
+            if pairs > DD_BUDGET:
+                raise CapExceededError(
+                    f"double description exceeded its budget of {DD_BUDGET} "
+                    "ray pairs")
+            least_tight = dim - len(lineality) - 2
             others = [m for _, m, _ in pos] + [m for _, m in zero] \
                 + [m for _, m, _ in neg]
             bit = 1 << len(processed)
@@ -137,7 +147,9 @@ def _dd_pair(dim, normals):
                     # mask equality identifies the rays themselves: in a
                     # minimal pair the tight set cuts out the minimal face,
                     # so distinct rays (mod lineality) have distinct masks
-                    if any(m != pmask and m != qmask and m & t == t for m in others):
+                    if t.bit_count() < least_tight or any(
+                            m != pmask and m != qmask and m & t == t
+                            for m in others):
                         continue  # not adjacent
                     w = primitive(tuple(ps * qx - qs * px
                                         for px, qx in zip(pvec, qvec)))
@@ -170,15 +182,14 @@ def facets_of_generators(dim, generators):
     cone has a lineality space L, and each of its rays stands for a facet
     normal only modulo L; the normal reported is the canonical
     representative v - L^T (L L^T)^{-1} L v, orthogonal to L, solved
-    exactly and scaled to a primitive integer vector.
+    exactly and scaled to a primitive integer vector.  No generators give
+    the zero cone, cut out by the opposite pairs of the unit vectors.
     """
     gens = []
     for g in generators:
         if not any(g):
             raise InputError("zero vector among generators")
         gens.append(tuple(int(x) for x in g))
-    if not gens:
-        raise InputError("empty generator list")
     rays, lineality = _dd_pair(dim, gens)
     gram = [[dot(l, m) for m in lineality] for l in lineality]
     out = []
@@ -208,12 +219,13 @@ def facets_of_generators(dim, generators):
 class IntegerCone:
     """Rational polyhedral cone with integer generators and facets.
 
-    Construct from generators or from halfspaces, not both.  The other
-    description is computed at construction, so a cone is an immutable
-    value: an H-described cone takes the DD rays (plus lineality pairs) of
-    its halfspaces as generators, and every cone takes the facets of its
-    generators, so the facet list is irredundant even when the given
-    halfspaces were not.  Only the extreme rays wait until first asked for.
+    Construct from a non-empty generator list or from halfspaces, not both.
+    The other description is computed at construction, so a cone is an
+    immutable value: an H-described cone takes the DD rays (plus lineality
+    pairs) of its halfspaces as generators, none for the zero cone, and
+    every cone takes the facets of its generators, so the facet list is
+    irredundant even when the given halfspaces were not.  Only the extreme
+    rays wait until first asked for.
     """
 
     def __init__(self, dim, generators=None, halfspaces=None):
@@ -231,25 +243,11 @@ class IntegerCone:
             generators = sorted(
                 extreme_rays_of_halfspaces_or_lineality(dim, hs))
         self._generators = tuple(tuple(int(x) for x in g) for g in generators)
-        if any(not any(g) for g in self._generators):
-            raise InputError("zero vector among generators")
+        if halfspaces is None and not self._generators:
+            raise InputError("empty generator list")
         if any(len(g) != dim for g in self._generators):
             raise InputError("generator dimension mismatch")
-        if self._generators or halfspaces is None:
-            self._facets = tuple(facets_of_generators(dim, self._generators))
-        else:
-            # the zero cone: cut out by opposite coordinate pairs
-            units = orthant(dim)
-            self._facets = tuple(sorted(units + [
-                make_halfspace(tuple(-x for x in h.normal)) for h in units]))
-
-    @classmethod
-    def from_generators(cls, dim, generators):
-        return cls(dim, generators=generators)
-
-    @classmethod
-    def from_halfspaces(cls, dim, halfspaces):
-        return cls(dim, halfspaces=halfspaces)
+        self._facets = tuple(facets_of_generators(dim, self._generators))
 
     @property
     def facets(self):
@@ -406,18 +404,11 @@ def _refuse_past_cap(dim):
             f"cone capped at dimension {HILBERT_DIM_CAP}, got {dim}")
 
 
-def capped_cone(dim, generators=None, halfspaces=None):
-    """IntegerCone(dim, generators, halfspaces), refused past
-    HILBERT_DIM_CAP before its double description runs: every cone that a
-    theorem path takes apart whole is built here."""
-    _refuse_past_cap(dim)
-    return IntegerCone(dim, generators, halfspaces)
-
-
 def hilbert_basis_of(dim, generators=None, halfspaces=None):
     """Hilbert basis of the cone of the given generators or halfspaces,
     refused past HILBERT_DIM_CAP before the cone is built."""
-    return hilbert_basis(capped_cone(dim, generators, halfspaces))
+    _refuse_past_cap(dim)
+    return hilbert_basis(IntegerCone(dim, generators, halfspaces))
 
 
 def hilbert_basis(cone):
@@ -460,7 +451,7 @@ def positive_grading(generators):
     gens = [tuple(int(x) for x in g) for g in generators]
     if not all(map(any, gens)):
         raise NoGradingError("a zero generator admits no positive grading")
-    cone = IntegerCone.from_generators(len(gens[0]), gens)
+    cone = IntegerCone(len(gens[0]), gens)
     if not cone.is_pointed():
         raise NoGradingError("generators admit no positive grading functional")
     return tuple(map(sum, zip(*(h.normal for h in cone.facets))))
@@ -588,8 +579,7 @@ def lattice_points_dilation(points, b):
     if b < 1:
         raise InputError("dilation factor must be a positive integer")
     dim = len(points[0])
-    cone = IntegerCone.from_generators(
-        dim + 1, [tuple(p) + (1,) for p in points])
+    cone = IntegerCone(dim + 1, [tuple(p) + (1,) for p in points])
     lo = [b * min(p[i] for p in points) for i in range(dim)]
     hi = [b * max(p[i] for p in points) for i in range(dim)]
     return [z for z in product(*(range(l, h + 1) for l, h in zip(lo, hi)))

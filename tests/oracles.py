@@ -316,8 +316,8 @@ def irredundancy_witnesses(dim, halfspaces):
 def recession_rays(P):
     """Extreme rays of the recession cone of a polyhedron; empty for a
     bounded one."""
-    rec = IntegerCone.from_halfspaces(
-        P.dim, [make_halfspace(h.normal) for h in P.halfspaces])
+    rec = IntegerCone(P.dim, halfspaces=[make_halfspace(h.normal)
+                                         for h in P.halfspaces])
     return list(rec.extreme_rays())
 
 

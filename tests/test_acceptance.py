@@ -290,7 +290,7 @@ def test_hilbert_basis_and_facets_against_brute_force():
             if not gens:
                 continue
             done += 1
-            cone = IntegerCone.from_generators(dim, gens)
+            cone = IntegerCone(dim, gens)
             hb = hilbert_basis(cone)
             scanned = brute_hilbert_basis(gens, box_hi=6)
             assert [e for e in hb.elements if max(e) <= 6] == scanned

@@ -162,8 +162,7 @@ def test_ehrhart_equality_against_dilation_scan():
             return semigroup_member(tuple(p) + (b,), lifts, grading).member
 
         if report.verdict:
-            hb = hilbert_basis(IntegerCone.from_generators(len(grading),
-                                                           lifts))
+            hb = hilbert_basis(IntegerCone(len(grading), lifts))
             top = max(2, max(e[-1] for e in hb.elements))
             for b in range(1, top + 1):
                 assert all(reached(p, b)

@@ -12,7 +12,7 @@ from covercones import (Clutter, Graph, InputError, IntegerCone,
                         perfect_matrix_check, perfect_via_odd_holes,
                         perfect_via_rees_cone, rees_cone, semigroup_member,
                         tdi_check, tdi_oracle, vertex_clique_matrix)
-from covercones import clutters
+from covercones import clutters, cones
 from covercones.checks import _columns_of, _covering_minimum
 from covercones.errors import CapExceededError
 from covercones.lp import GE, INFEASIBLE, OPTIMAL, make_lp, solve_ilp_bounded
@@ -24,7 +24,7 @@ from oracles import is_perfect_definitional
 from simplex import solve
 
 
-def test_cone_perfection_fixtures():
+def test_cone_perfection_fixtures(monkeypatch):
     r = perfect_via_rees_cone(cycle_graph(5))
     assert r.verdict is False
     assert r.witness["non_clique_facets"] == [(1, 1, 1, 1, 1, -3)]
@@ -35,8 +35,10 @@ def test_cone_perfection_fixtures():
                                 clique_halfspaces(complete_graph(4))}
     with pytest.raises(InputError):
         perfect_via_rees_cone(Graph_with_isolated())
-    with pytest.raises(CapExceededError):
-        perfect_via_rees_cone(cycle_graph(10))
+    # the pentagon's facet double description tests 20 ray pairs
+    monkeypatch.setattr(cones, "DD_BUDGET", 10)
+    with pytest.raises(CapExceededError, match="budget of 10 ray pairs"):
+        perfect_via_rees_cone(cycle_graph(5))
 
 
 def Graph_with_isolated():
@@ -376,7 +378,7 @@ def test_basis_inclusion_matches_the_membership_search():
         lifted = [col + (1,) for col in cols]
         lifted += [tuple(-int(i == j) for j in range(n)) + (0,)
                    for i in range(n)]
-        hb = hilbert_basis(IntegerCone.from_generators(n + 1, lifted))
+        hb = hilbert_basis(IntegerCone(n + 1, lifted))
         _, miss, _ = _search_oracle(hb.elements, lifted)
         report = tdi_check(A)
         if report.verdict is False:

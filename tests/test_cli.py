@@ -6,7 +6,7 @@ import pytest
 from covercones.cli import main
 from covercones.textio import (ParseError, format_inequality, parse_input,
                                read_labels)
-from covercones import InputError, make_halfspace
+from covercones import InputError, cones, make_halfspace
 
 
 @pytest.fixture
@@ -141,6 +141,34 @@ def test_check_perfect_pentagon(write, capsys):
     assert holes["witness"] == {"odd_hole": [1, 2, 3, 4, 5]}
 
 
+def test_check_perfect_past_nine_vertices(write, capsys):
+    """Both perfection sections answer on cycles of 10 to 13 vertices and
+    agree, or the command would exit 4."""
+    for n, perfect in ((10, True), (11, False), (13, False)):
+        path = write(f"c{n}.graph",
+                     "".join(f"{v} {v % n + 1}\n" for v in range(1, n + 1)))
+        code, report = run_json(capsys, ["check-perfect", path])
+        assert code == 0 and report["primary_verdict"] is perfect
+        cone, holes = report["results"]
+        assert cone["verdict"] is holes["verdict"] is perfect
+        assert cone["search_bounds"] == {"dd_budget": 1000000}
+        if n == 11:
+            assert cone["witness"]["non_clique_facets"] == [[1] * 11 + [-6]]
+
+
+@pytest.mark.parametrize("command", ["rees-cone", "simis-cone",
+                                     "check-perfect"])
+def test_cone_commands_exit_3_past_the_dd_budget(write, capsys, monkeypatch,
+                                                 command):
+    # the pentagon's cones take 20 or 21 ray pairs per double description
+    monkeypatch.setattr(cones, "DD_BUDGET", 10)
+    assert main([command, write("c5.graph", PENTAGON)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: double description exceeded its budget of 10 ray pairs\n")
+    assert captured.out == ""
+
+
 def test_symbolic_gens_verifies_perfection_past_the_cone_cap(write, capsys):
     k55 = write("k55.graph", "".join(f"{u} {v}\n" for u in range(1, 6)
                                      for v in range(6, 11)))
@@ -181,14 +209,15 @@ def test_assert_flag_drives_exit_code(write, capsys):
     capsys.readouterr()
 
 
-def test_exit_codes_for_errors(write, capsys):
+def test_exit_codes_for_errors(write, capsys, monkeypatch):
     bad = write("bad.graph", "graph { a-a }\n")
     assert main(["check-perfect", bad]) == 2
     capsys.readouterr()
     c10 = write("c10.graph", "".join(f"{v} {v % 10 + 1}\n" for v in range(1, 11)))
+    monkeypatch.setattr(cones, "DD_BUDGET", 100)     # C10 tests 285 pairs
     assert main(["check-perfect", c10]) == 3
     assert capsys.readouterr().err == (
-        "error: cone capped at dimension 10, got 11\n")
+        "error: double description exceeded its budget of 100 ray pairs\n")
     missing_verdict = write("k2.graph", "graph { a-b }\n")
     assert main(["cliques", missing_verdict, "--assert", "true"]) == 2
     capsys.readouterr()

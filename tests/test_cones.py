@@ -64,15 +64,15 @@ def test_extreme_rays_examples():
 
 
 def test_hilbert_basis_examples():
-    cone = IntegerCone.from_generators(2, [(1, 0), (0, 1)])
+    cone = IntegerCone(2, [(1, 0), (0, 1)])
     assert hilbert_basis(cone).elements == ((0, 1), (1, 0))
 
-    simis_k2 = IntegerCone.from_halfspaces(3, [
+    simis_k2 = IntegerCone(3, halfspaces=[
         make_halfspace(v) for v in
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (0, 1, -1)]])
     assert hilbert_basis(simis_k2).elements == ((0, 1, 0), (1, 0, 0), (1, 1, 1))
 
-    simis_k3 = IntegerCone.from_halfspaces(4, [
+    simis_k3 = IntegerCone(4, halfspaces=[
         make_halfspace(v) for v in
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
          (1, 1, 0, -1), (1, 0, 1, -1), (0, 1, 1, -1)]])
@@ -82,10 +82,10 @@ def test_hilbert_basis_examples():
 
 
 def test_hilbert_basis_requires_pointed_and_capped():
-    half_plane = IntegerCone.from_halfspaces(2, [make_halfspace((1, 0))])
+    half_plane = IntegerCone(2, halfspaces=[make_halfspace((1, 0))])
     with pytest.raises(NotPointedError):
         hilbert_basis(half_plane)
-    big = IntegerCone.from_generators(11, [unit(11, i) for i in range(11)])
+    big = IntegerCone(11, [unit(11, i) for i in range(11)])
     with pytest.raises(CapExceededError):
         hilbert_basis(big)
 
@@ -101,7 +101,7 @@ def test_hilbert_basis_against_lattice_scan():
         if not gens:
             continue
         checked += 1
-        cone = IntegerCone.from_generators(dim, gens)
+        cone = IntegerCone(dim, gens)
         hb = hilbert_basis(cone)
         expected = brute_hilbert_basis(gens, box_hi=6)
         got = [e for e in hb.elements if max(e) <= 6]
@@ -146,8 +146,7 @@ def test_triangulation_of_cycle_cones():
                 assert set(S) <= set(rays)
             # the reversed copy pulls from another apex, so its
             # triangulation differs but covers the same volume
-            flipped = IntegerCone.from_generators(
-                cone.dim, [r[::-1] for r in rays])
+            flipped = IntegerCone(cone.dim, [r[::-1] for r in rays])
             others = _triangulate(flipped.extreme_rays(), flipped.facets)
             assert {frozenset(S) for S in pieces} != \
                 {frozenset(s[::-1] for s in S) for S in others}
@@ -197,7 +196,7 @@ def test_lattice_points_decompose_over_the_basis():
         if not gens:
             continue
         done += 1
-        cone = IntegerCone.from_generators(dim, gens)
+        cone = IntegerCone(dim, gens)
         hb = hilbert_basis(cone).elements
         for p in product(range(5), repeat=dim):
             if any(p) and cone.contains(p):
@@ -217,11 +216,11 @@ def test_vertex_clique_polytopes_of_sample_perfect_six_vertex_graphs():
 def test_contains_and_interior():
     covers = cover_ideal(edge_clutter(cycle_graph(4)))
     gens = [unit(5, i) for i in range(4)] + [c + (1,) for c in covers]
-    cone = IntegerCone.from_generators(5, gens)
+    cone = IntegerCone(5, gens)
     assert cone.in_interior((1, 1, 1, 1, 1))
     assert not cone.in_interior((0, 0, 0, 0, 0))
     assert cone.contains((0, 0, 0, 0, 0))
-    e1 = IntegerCone.from_generators(2, [(1, 0), (0, 1)])
+    e1 = IntegerCone(2, [(1, 0), (0, 1)])
     assert e1.contains((1, 0)) and not e1.in_interior((1, 0))
 
 
@@ -238,7 +237,7 @@ def test_dd_rays_match_rank_filtered_generators():
         gens = [g for g in gens if any(g)]
         if not gens:
             continue
-        cone = IntegerCone.from_generators(dim, gens)
+        cone = IntegerCone(dim, gens)
         if not cone.is_pointed():
             continue
         trials += 1
@@ -257,7 +256,7 @@ def test_roundtrip_facets_then_rays_random_cones():
         gens = [g for g in gens if any(g)]
         if not gens:
             continue
-        cone = IntegerCone.from_generators(dim, gens)
+        cone = IntegerCone(dim, gens)
         if not cone.is_pointed():
             continue
         done += 1
@@ -407,7 +406,7 @@ def test_facet_cache_is_consistent_under_threads():
     import threading
     covers = cover_ideal(edge_clutter(cycle_graph(5)))
     gens = [unit(6, i) for i in range(5)] + [c + (1,) for c in covers]
-    cone = IntegerCone.from_generators(6, gens)
+    cone = IntegerCone(6, gens)
     results = []
 
     def reader():
@@ -428,14 +427,17 @@ def test_cone_takes_exactly_one_description():
     with pytest.raises(InputError):
         IntegerCone(2, generators=[(1, 0), (0, 1)], halfspaces=hs)
     with pytest.raises(InputError):
-        IntegerCone.from_generators(2, [])
-    quadrant = IntegerCone.from_halfspaces(2, hs)
+        IntegerCone(2, [])
+    quadrant = IntegerCone(2, halfspaces=hs)
     assert quadrant.generators == ((0, 1), (1, 0))
     assert quadrant.facets == tuple(sorted(hs))
-    zero = IntegerCone.from_halfspaces(1, [make_halfspace((1,)),
-                                           make_halfspace((-1,))])
+    zero = IntegerCone(1, halfspaces=[make_halfspace((1,)),
+                                      make_halfspace((-1,))])
     assert zero.generators == ()
     assert [h.normal for h in zero.facets] == [(-1,), (1,)]
+    # no generators: the polar lineality is all of R^2, cut into unit pairs
+    assert [h.normal for h in facets_of_generators(2, [])] == [
+        (-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def test_lower_dimensional_facets_match_gram_schmidt_projection():
