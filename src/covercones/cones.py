@@ -2,21 +2,24 @@
 
 The central object is IntegerCone, a pointed-or-not rational cone carried in
 dual form: an integer generator list and an irredundant list of primitive
-facet normals, both fixed when the cone is built.  Conversions between the
-two descriptions run the double description method in exact integer
-arithmetic: the sparsest constraints go first (the coordinate halfspaces
-lead, which keeps the intermediate ray lists small), and past DD_BUDGET ray
-pairs it raises CapExceededError.  The output is canonically sorted, so it
-never depends on that order.  It is the one polyhedral engine: the
-vertices of an affine polyhedron are the rays of its homogenization, and the
-lattice points of a dilated polytope are tested against the facets of the
-cone over it.
+facet normals, both fixed when the cone is built.  Each cone costs one run
+of the double description method in exact integer arithmetic: on the polar
+side for a V-described cone, and on its own halfspaces for an H-described
+one, whose facets are then read off the tight sets of the rays (only a
+lower-dimensional H-described cone runs a second one).  The sparsest
+constraints go first (the coordinate halfspaces lead, which keeps the
+intermediate ray lists small), and past DD_BUDGET ray pairs it raises
+CapExceededError.  The output is canonically sorted, so it never depends
+on that order.  It is the one polyhedral engine: the vertices of an affine
+polyhedron are the rays of its homogenization, and the lattice points of a
+dilated polytope are tested against the facets of the cone over it.
 
 Hilbert bases are computed the classical way: triangulate the cone (a
 pulling triangulation read off the cone's own ray/facet incidences, so no
 face runs a double description), collect the lattice points of each
 simplicial piece's half-open fundamental parallelepiped (these generate the
-semigroup of all lattice points; one integer diagonal form U S V = D of the
+semigroup of all lattice points; a unimodular piece has none, which its
+determinant shows, and one integer diagonal form U S V = D of any other
 piece lists them, whatever its rank), then discard every element that
 splits as a sum of two non-zero lattice points of the cone.  The result is
 the unique minimal generating set, independent of the triangulation.
@@ -36,8 +39,8 @@ from math import gcd, lcm
 
 from .errors import CapExceededError, InfeasibleError, InputError, \
     NoGradingError, NotPointedError
-from .linalg import diagonalize, dot, gcd_vec, primitive, rank_int, \
-    sign_normalized, solve_square
+from .linalg import det_int, diagonalize, dot, gcd_vec, primitive, \
+    rank_int, sign_normalized, solve_square
 from .report import ORACLE, CheckReport
 
 HILBERT_DIM_CAP = 10
@@ -79,24 +82,30 @@ def make_halfspace(normal, rhs=0):
 def _dd_pair(dim, normals):
     """Extreme rays and lineality basis of {x : <a, x> >= 0 for all a}.
 
-    Returns (rays, lineality); rays are primitive integer vectors, minimal
-    and unique up to order modulo the lineality space.  Rays carry tight-set
-    bitmasks over the processed constraints, which drive the combinatorial
-    adjacency test of the classical algorithm.  Two rays are adjacent only
-    when the constraints tight on both have rank dim - dim(lineality) - 2,
-    so a pair with fewer common tight constraints is rejected untested
-    (Fukuda and Prodon, "Double description method revisited", 1996).
-    Raises CapExceededError once more than DD_BUDGET ray pairs are tested.
+    Returns (rays, lineality, normals).  normals are the distinct primitive
+    constraints in the order they were processed; rays are pairs (vector,
+    tight mask), where bit i of the mask says that normals[i] vanishes on
+    the vector.  The vectors are primitive integer vectors, minimal and
+    unique up to order modulo the lineality space.  The masks drive the
+    combinatorial adjacency test of the classical algorithm.  Two rays are
+    adjacent only when the constraints tight on both have rank
+    dim - dim(lineality) - 2, so a pair with fewer common tight constraints
+    is rejected untested (Fukuda and Prodon, "Double description method
+    revisited", 1996).  Values are summed over each normal's non-zero
+    entries only, and a lineality vector the normal vanishes on is kept as
+    it is.  Raises CapExceededError once more than DD_BUDGET ray pairs are
+    tested.
     """
     normals = sorted({primitive(a) for a in normals if any(a)},
                      key=lambda a: (sum(1 for x in a if x), a))
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []      # pairs [vector, tight-mask]
-    processed = []
     pairs = 0
 
-    for a in normals:
-        vals = [dot(a, l) for l in lineality]
+    for k, a in enumerate(normals):
+        bit = 1 << k
+        support = [(i, x) for i, x in enumerate(a) if x]
+        vals = [sum(x * l[i] for i, x in support) for l in lineality]
         pivot = next((i for i, v in enumerate(vals) if v), None)
         if pivot is not None:
             l0, v0 = lineality[pivot], vals[pivot]
@@ -106,26 +115,26 @@ def _dd_pair(dim, normals):
             for i, l in enumerate(lineality):
                 if i == pivot:
                     continue
-                new_lin.append(primitive(tuple(
-                    v0 * x - vals[i] * y for x, y in zip(l, l0))))
-            all_tight = (1 << len(processed)) - 1
+                if vals[i]:
+                    l = primitive(tuple(
+                        v0 * x - vals[i] * y for x, y in zip(l, l0)))
+                new_lin.append(l)
             new_rays = []
             for vec, mask in rays:
-                s = dot(a, vec)
+                s = sum(x * vec[i] for i, x in support)
                 if s:
                     vec = primitive(tuple(v0 * x - s * y for x, y in zip(vec, l0)))
-                new_rays.append([vec, mask | (1 << len(processed))])
-            new_rays.append([l0, all_tight])  # strictly inside the new halfspace
+                new_rays.append([vec, mask | bit])
+            # strictly inside the new halfspace, tight on all before it
+            new_rays.append([l0, bit - 1])
             lineality = new_lin
             rays = new_rays
         else:
-            signs = [dot(a, vec) for vec, _ in rays]
+            signs = [sum(x * vec[i] for i, x in support) for vec, _ in rays]
             if all(s >= 0 for s in signs):
-                bit = 1 << len(processed)
                 for (pair, s) in zip(rays, signs):
                     if s == 0:
                         pair[1] |= bit
-                processed.append(a)
                 continue
             pos = [(vec, m, s) for (vec, m), s in zip(rays, signs) if s > 0]
             zero = [(vec, m) for (vec, m), s in zip(rays, signs) if s == 0]
@@ -138,7 +147,6 @@ def _dd_pair(dim, normals):
             least_tight = dim - len(lineality) - 2
             others = [m for _, m, _ in pos] + [m for _, m in zero] \
                 + [m for _, m, _ in neg]
-            bit = 1 << len(processed)
             new_rays = [[vec, m | bit] for vec, m in zero]
             new_rays.extend([vec, m] for vec, m, _ in pos)
             for pvec, pmask, ps in pos:
@@ -155,9 +163,8 @@ def _dd_pair(dim, normals):
                                         for px, qx in zip(pvec, qvec)))
                     new_rays.append([w, t | bit])
             rays = new_rays
-        processed.append(a)
 
-    return [(tuple(vec), mask) for vec, mask in rays], lineality
+    return [(tuple(vec), mask) for vec, mask in rays], lineality, normals
 
 
 def extreme_rays_of_halfspaces(dim, halfspaces):
@@ -165,7 +172,7 @@ def extreme_rays_of_halfspaces(dim, halfspaces):
     halfspaces.  Raises NotPointedError when a lineality direction survives."""
     normals = [h.normal if isinstance(h, Halfspace) else tuple(h)
                for h in halfspaces]
-    rays, lineality = _dd_pair(dim, normals)
+    rays, lineality, _ = _dd_pair(dim, normals)
     if lineality:
         raise NotPointedError(
             f"cone contains the line through {lineality[0]}")
@@ -190,7 +197,7 @@ def facets_of_generators(dim, generators):
         if not any(g):
             raise InputError("zero vector among generators")
         gens.append(tuple(int(x) for x in g))
-    rays, lineality = _dd_pair(dim, gens)
+    rays, lineality, _ = _dd_pair(dim, gens)
     gram = [[dot(l, m) for m in lineality] for l in lineality]
     out = []
     for vec, _ in rays:
@@ -221,11 +228,17 @@ class IntegerCone:
 
     Construct from a non-empty generator list or from halfspaces, not both.
     The other description is computed at construction, so a cone is an
-    immutable value: an H-described cone takes the DD rays (plus lineality
-    pairs) of its halfspaces as generators, none for the zero cone, and
-    every cone takes the facets of its generators, so the facet list is
-    irredundant even when the given halfspaces were not.  Only the extreme
-    rays wait until first asked for.
+    immutable value.  A V-described cone takes the facets of its generators
+    from a double description on the polar side.  An H-described cone runs
+    one double description: its generators are the DD rays plus the
+    lineality pairs (none for the zero cone), and when no halfspace is tight
+    on every ray the cone is full-dimensional and its facets are the given
+    normals whose sets of tight rays are inclusion-maximal.  A
+    lower-dimensional one takes the facets of its generators as a
+    V-described cone does.  Either way the facet list is irredundant even
+    when the given halfspaces were not.  The extreme rays are the DD rays
+    when an H-described cone is pointed; otherwise they wait until first
+    asked for.
     """
 
     def __init__(self, dim, generators=None, halfspaces=None):
@@ -235,19 +248,27 @@ class IntegerCone:
             raise InputError("a cone takes generators or halfspaces, not both")
         self.dim = dim
         self._extreme = None
+        facets = None
         if halfspaces is not None:
             hs = tuple(h if isinstance(h, Halfspace) else make_halfspace(h)
                        for h in halfspaces)
             if any(len(h.normal) != dim or h.rhs != 0 for h in hs):
                 raise InputError("halfspace dimension mismatch or affine rhs")
-            generators = sorted(
-                extreme_rays_of_halfspaces_or_lineality(dim, hs))
+            rays, lineality, normals = _dd_pair(dim, [h.normal for h in hs])
+            generators = sorted(_with_lineality_pairs(rays, lineality))
+            facets = _facets_of_tight_sets(normals, rays)
+            if not lineality:
+                self._extreme = tuple(generators)
         self._generators = tuple(tuple(int(x) for x in g) for g in generators)
         if halfspaces is None and not self._generators:
             raise InputError("empty generator list")
         if any(len(g) != dim for g in self._generators):
             raise InputError("generator dimension mismatch")
-        self._facets = tuple(facets_of_generators(dim, self._generators))
+        if facets is None:
+            facets = facets_of_generators(dim, self._generators)
+        elif not all(h.holds(g) for g in self._generators for h in facets):
+            raise AssertionError("facet computation violated by a generator")
+        self._facets = tuple(facets)
 
     @property
     def facets(self):
@@ -297,14 +318,49 @@ class IntegerCone:
                 f"generators={len(self._generators)})")
 
 
-def extreme_rays_of_halfspaces_or_lineality(dim, halfspaces):
-    """Generators (rays plus +/- lineality pairs) of an H-described cone."""
-    rays, lineality = _dd_pair(dim, [h.normal for h in halfspaces])
+def _with_lineality_pairs(rays, lineality):
+    """The DD ray vectors followed by both signs of each lineality vector."""
     gens = [vec for vec, _ in rays]
     for l in lineality:
         gens.append(tuple(l))
         gens.append(tuple(-x for x in l))
     return gens
+
+
+def _facets_of_tight_sets(normals, rays):
+    """The facets among the normals of a full-dimensional cone, read off
+    the tight masks of its double description, or None when the cone is
+    lower-dimensional.
+
+    Each normal's set of tight rays is the transpose of the rays' masks.  A
+    normal tight on every ray vanishes on the whole cone (with no rays,
+    every normal does), so the cone lies in its hyperplane.  Otherwise the
+    cone is full-dimensional: each normal cuts out a proper face, two faces
+    differ exactly when their ray sets do (modulo the lineality space), and
+    the facets are the maximal proper faces.  So a normal is a facet exactly
+    when its ray set is inclusion-maximal, and no two normals share a facet,
+    because a facet's primitive normal is unique.
+    """
+    tight = [0] * len(normals)
+    for j, (_, mask) in enumerate(rays):
+        while mask:
+            low = mask & -mask
+            tight[low.bit_length() - 1] |= 1 << j
+            mask ^= low
+    if (1 << len(rays)) - 1 in tight:
+        return None
+    # largest first, so a set is maximal unless a kept one covers it
+    kept = []
+    for t, a in sorted(zip(tight, normals), key=lambda p: -p[0].bit_count()):
+        if not any(t & big == t for big, _ in kept):
+            kept.append((t, a))
+    return sorted(Halfspace(a) for _, a in kept)
+
+
+def extreme_rays_of_halfspaces_or_lineality(dim, halfspaces):
+    """Generators (rays plus +/- lineality pairs) of an H-described cone."""
+    rays, lineality, _ = _dd_pair(dim, [h.normal for h in halfspaces])
+    return _with_lineality_pairs(rays, lineality)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +413,18 @@ def _triangulate(rays, facets):
 def _parallelepiped_points(simplex):
     """Non-zero lattice points of {sum t_j s_j : 0 <= t_j < 1}.
 
-    One diagonal form U S V = D serves pieces of every rank k <= d.  The
+    A square piece with |det| = 1 is unimodular, so its parallelepiped holds
+    no point but the origin; one fraction-free determinant shows it, and on
+    the cones of graphs nearly every piece is of this kind (the |det| gate
+    of Bruns, Ichim and Söger, J. Symb. Comput. 74, 2016).  Every other
+    piece, square or of rank k < d, takes one diagonal form U S V = D.  The
     cosets of S Z^k among the lattice points of span S are indexed by c in
     the box prod [0, |d_i|), the coset of c has coordinates t = V D^{-1} c
     over the columns, and its point in the half-open parallelepiped is
     S frac(t).  Scaling by order = prod |d_i| keeps everything integral.
     """
+    if len(simplex) == len(simplex[0]) and abs(det_int(simplex)) == 1:
+        return []
     diag, v = diagonalize(simplex)
     order = 1
     for d in diag:
@@ -540,7 +602,7 @@ def homogenized_rays(P):
     vertices of P scaled by t, those with t = 0 span its recession cone."""
     normals = [tuple(h.normal) + (-h.rhs,) for h in P.halfspaces]
     normals.append((0,) * P.dim + (1,))
-    rays, lineality = _dd_pair(P.dim + 1, normals)
+    rays, lineality, _ = _dd_pair(P.dim + 1, normals)
     return [vec for vec, _ in rays], lineality
 
 

@@ -84,6 +84,29 @@ def solve_square(rows, rhs):
     return tuple(a[i][n] for i in range(n))
 
 
+def det_int(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, and every entry is a minor of
+    the input, so the integers stay as small as the minors."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        lead = top[k]
+        for i in range(k + 1, n):
+            x = m[i][k]
+            m[i] = [(lead * a - x * b) // prev for a, b in zip(m[i], top)]
+        prev = lead
+    return sign * m[-1][-1]
+
+
 def diagonalize(columns):
     """Diagonalize the d x k integer matrix S whose columns are `columns`
     (k <= d) by unimodular row and column operations: U S V = D, with D

@@ -3,15 +3,16 @@
 Everything here decides by definition: subset scans for cliques, covers and
 colourings, perfection as chromatic = clique number on every induced
 subgraph, lattice scans plus exact LP membership for cone questions,
-basic solutions for the vertices of a polyhedron, the tight-facet rank
-for extreme rays, Fraction elimination for coordinates over a simplex, and
-Gram-Schmidt for the facet normals of a lower-dimensional cone.  The LP
-questions go to the exact simplex of simplex.py, which lives only on the
-test side: the package itself reads every LP value off a double
-description.  None of it shares code paths with the double description or
-triangulation it cross-checks, except two helpers built on the package's
-own cones: recession_rays, and the Gram-Schmidt reference, which projects
-the package's DD rays because what it checks is the projection.
+basic solutions for the vertices of a polyhedron, the tight rank for
+extreme rays and facets, Fraction elimination for coordinates over a
+simplex and for determinants, and Gram-Schmidt for the facet normals of
+a lower-dimensional cone.  The LP questions go to the exact simplex of
+simplex.py, which lives only on the test side: the package itself reads
+every LP value off a double description.  None of it shares code paths
+with the double description or triangulation it cross-checks, except two
+helpers built on the package's own cones: recession_rays, and the
+Gram-Schmidt reference, which projects the package's DD rays because what
+it checks is the projection.
 """
 
 from fractions import Fraction
@@ -212,6 +213,35 @@ def solve_columns(columns, target):
     return tuple(a[r][k] for r in pivots)
 
 
+def fraction_det(rows):
+    """Determinant of a square matrix by Gaussian elimination over the
+    rationals: the product of the pivots, signed by the row swaps."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, n):
+            f = a[i][col] / a[col][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def rank_filtered_facets(cone, halfspaces):
+    """The halfspaces whose tight generators have rank dim - 1: the
+    definition of a facet of a full-dimensional cone, applied to the cone's
+    own generators."""
+    return sorted({h for h in halfspaces
+                   if rank_int([g for g in cone.generators
+                                if dot(h.normal, g) == 0]) == cone.dim - 1})
+
+
 def rank_filtered_extreme_rays(cone):
     """Primitive generators whose tight facets have rank dim - 1: the
     definition of an extreme ray of a pointed cone, applied to the cone's
@@ -351,7 +381,7 @@ def gram_schmidt_facets(dim, generators):
     modulo the polar lineality by Gram-Schmidt, plus the opposite pairs
     that cut out the span: the reference for the exact projection of
     facets_of_generators."""
-    rays, lineality = _dd_pair(dim, generators)
+    rays, lineality, _ = _dd_pair(dim, generators)
     out = [make_halfspace(orthogonal_reduce(vec, lineality) if lineality
                           else vec) for vec, _ in rays]
     for l in lineality:

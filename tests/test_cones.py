@@ -15,12 +15,12 @@ from covercones.errors import CapExceededError, NoGradingError
 from covercones.linalg import dot
 from covercones.lp import GE
 
-from corpus import cycle_graph, small_graph_corpus
+from corpus import cycle_graph, sampled_graph, small_graph_corpus
 from oracles import (brute_hilbert_basis, brute_lattice_points_dilation,
                      brute_vertices, cone_membership_lp, feasible,
-                     gram_schmidt_facets,
+                     fraction_det, gram_schmidt_facets,
                      irredundancy_witnesses, rank_filtered_extreme_rays,
-                     recession_rays, solve_columns)
+                     rank_filtered_facets, recession_rays, solve_columns)
 
 
 def unit(dim, i):
@@ -182,6 +182,47 @@ def test_parallelepiped_points_match_box_scan():
                 expected.add(z)
         assert got == expected
         assert len(got) == abs(det) - 1
+
+
+def test_det_int_matches_fraction_elimination():
+    from covercones.linalg import det_int
+    rng = random.Random(8)
+    singular = 0
+    for trial in range(400):
+        n = trial % 8 + 1
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if trial % 5 == 0:
+            rows[0][0] = 0      # the first pivot needs a row swap
+        if trial % 4 == 1:
+            # the last row an integer combination of the others
+            coef = [rng.randint(-2, 2) for _ in range(n - 1)]
+            rows[-1] = [sum(c * r[j] for c, r in zip(coef, rows))
+                        for j in range(n)]
+        want = fraction_det(rows)
+        singular += want == 0
+        assert det_int(rows) == want, rows
+    assert singular >= 100
+
+
+def test_parallelepiped_points_empty_on_unimodular_simplices():
+    # products of elementary matrices: the |det| gate answers alone
+    from covercones.cones import _parallelepiped_points
+    from covercones.linalg import det_int, diagonalize
+    rng = random.Random(11)
+    for trial in range(200):
+        d = trial % 7 + 2
+        rows = [[int(i == j) for j in range(d)] for i in range(d)]
+        for _ in range(3 * d):
+            i, j = rng.sample(range(d), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            if rng.random() < 0.3:
+                rows[i], rows[j] = rows[j], [-x for x in rows[i]]
+        S = tuple(map(tuple, rows))
+        diag, _ = diagonalize(S)
+        assert [abs(x) for x in diag] == [1] * d
+        assert abs(det_int(S)) == 1
+        assert _parallelepiped_points(S) == []
 
 
 def test_lattice_points_decompose_over_the_basis():
@@ -438,6 +479,73 @@ def test_cone_takes_exactly_one_description():
     # no generators: the polar lineality is all of R^2, cut into unit pairs
     assert [h.normal for h in facets_of_generators(2, [])] == [
         (-1, 0), (0, -1), (0, 1), (1, 0)]
+
+
+def test_h_described_facets_match_the_polar_double_description():
+    # an H-described cone runs one double description and reads its facets
+    # off the rays' tight sets; the polar double description of its
+    # generators, and the V-described cone on them, must agree
+    from covercones.cones import extreme_rays_of_halfspaces_or_lineality
+    rng = random.Random(20261020)
+    kinds = dict.fromkeys(("pointed", "lineality", "lower", "redundant"), 0)
+    for trial in range(400):
+        dim = rng.randint(2, 6)
+        normals = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                   for _ in range(rng.randint(1, dim + 3))]
+        normals = [a for a in normals if any(a)]
+        if not normals:
+            continue
+        a, b = rng.choice(normals), rng.choice(normals)
+        # repeated, scaled and summed normals: redundant on purpose
+        normals += [a, tuple(3 * x for x in a)]
+        if any(x + y for x, y in zip(a, b)):
+            normals.append(tuple(x + y for x, y in zip(a, b)))
+        if trial % 3 == 0:
+            normals.append(tuple(-x for x in a))   # lower-dimensional
+        rng.shuffle(normals)
+        hs = [make_halfspace(n) for n in normals]
+        cone = IntegerCone(dim, halfspaces=normals)
+        assert cone.facets == tuple(facets_of_generators(dim, cone.generators))
+        assert list(cone.generators) == sorted(
+            extreme_rays_of_halfspaces_or_lineality(dim, hs))
+        facets = set(cone.facets)
+        lower = any(make_halfspace(tuple(-x for x in h.normal)) in facets
+                    for h in facets)
+        if lower:
+            kinds["lower"] += 1
+        elif not cone.is_pointed():
+            kinds["lineality"] += 1
+        else:
+            kinds["pointed"] += 1
+            kinds["redundant"] += len(set(hs)) > len(facets)
+            assert rank_filtered_facets(cone, hs) == list(cone.facets)
+        if cone.is_pointed():
+            rays = list(cone.extreme_rays())
+            assert rays == rank_filtered_extreme_rays(cone)
+            if rays:
+                assert rays == list(IntegerCone(dim, rays).extreme_rays())
+    assert min(kinds.values()) >= 80, kinds
+
+
+def test_simis_facets_of_an_18_vertex_graph_by_tight_rank():
+    # 19 coordinates, 45 minimal covers: one double description, where the
+    # polar one on the rays tests 2.46 M ray pairs, past cones.DD_BUDGET
+    from covercones import simis_cone
+    G = sampled_graph(1)
+    ideal = [tuple(int(v in e) for v in range(1, 19)) for e in G.edges]
+    model = simis_cone(ideal)
+    assert len(model.halfspaces) == len(model.cone.facets) == 64
+    covers = [h.normal for h in model.halfspaces if h.normal[-1] == -1]
+    # sums of two cover inequalities, and covers grown by one vertex
+    extra = [make_halfspace(tuple(x + y for x, y in zip(u, w)))
+             for u, w in zip(covers, covers[1:])]
+    extra += [make_halfspace(u[:i] + (1,) + u[i + 1:])
+              for u in covers for i in range(18) if not u[i]][::7]
+    hs = list(model.halfspaces) + extra
+    cone = IntegerCone(19, halfspaces=hs)
+    assert cone.generators == model.cone.generators
+    assert cone.facets == model.cone.facets
+    assert rank_filtered_facets(cone, hs) == list(cone.facets)
 
 
 def test_lower_dimensional_facets_match_gram_schmidt_projection():
