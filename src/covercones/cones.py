@@ -14,15 +14,21 @@ on that order.  It is the one polyhedral engine: the vertices of an affine
 polyhedron are the rays of its homogenization, and the lattice points of a
 dilated polytope are tested against the facets of the cone over it.
 
+Every cone keeps the values <F, p> of its facets F on its primitive
+generators p, computed once at construction while checking that no
+generator violates a facet; the extreme rays, the triangulation and the
+Hilbert-basis reduction read them instead of computing them again.
+
 Hilbert bases are computed the classical way: triangulate the cone (a
 pulling triangulation read off the cone's own ray/facet incidences, so no
 face runs a double description), collect the lattice points of each
 simplicial piece's half-open fundamental parallelepiped (these generate the
 semigroup of all lattice points; a unimodular piece has none, which its
 determinant shows, and one integer diagonal form U S V = D of any other
-piece lists them, whatever its rank), then discard every element that
-splits as a sum of two non-zero lattice points of the cone.  The result is
-the unique minimal generating set, independent of the triangulation.
+piece lists them, whatever its rank), then discard every parallelepiped
+point that splits as a sum of two non-zero lattice points of the cone.  The
+extreme rays are never tested: each one is irreducible.  The result is the
+unique minimal generating set, independent of the triangulation.
 
 semigroup_member, a graded exhaustive search, is an oracle: the theorem
 paths test Hilbert-basis inclusion instead, because an irreducible lattice
@@ -36,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import ge
 
 from .errors import CapExceededError, InfeasibleError, InputError, \
     NoGradingError, NotPointedError
@@ -192,11 +199,17 @@ def facets_of_generators(dim, generators):
     exactly and scaled to a primitive integer vector.  No generators give
     the zero cone, cut out by the opposite pairs of the unit vectors.
     """
-    gens = []
-    for g in generators:
-        if not any(g):
-            raise InputError("zero vector among generators")
-        gens.append(tuple(int(x) for x in g))
+    gens = [tuple(int(x) for x in g) for g in generators]
+    out = _polar_facets(dim, gens)
+    _facet_values(out, gens)
+    return out
+
+
+def _polar_facets(dim, gens):
+    """facets_of_generators without the check of its answer, which the
+    caller makes: the facet list, sorted."""
+    if not all(map(any, gens)):
+        raise InputError("zero vector among generators")
     rays, lineality, _ = _dd_pair(dim, gens)
     gram = [[dot(l, m) for m in lineality] for l in lineality]
     out = []
@@ -213,11 +226,23 @@ def facets_of_generators(dim, generators):
         l = sign_normalized(primitive(l))
         out.append(make_halfspace(l))
         out.append(make_halfspace(tuple(-x for x in l)))
-    out = sorted(set(out))
-    for g in gens:
-        if not all(h.holds(g) for h in out):
-            raise AssertionError("facet computation violated by a generator")
-    return out
+    return sorted(set(out))
+
+
+def _facet_values(facets, generators):
+    """The value matrix of a cone: for each distinct primitive generator p,
+    in the order of first appearance, the tuple of <F, p> over the facets F.
+    Raises AssertionError when a value is negative, that is when a
+    generator violates a facet: the one check of a facet computation."""
+    normals = [h.normal for h in facets]
+    values = {}
+    for g in generators:
+        p = primitive(g)
+        if p not in values:
+            values[p] = tuple([dot(a, p) for a in normals])
+    if any(min(row, default=0) < 0 for row in values.values()):
+        raise AssertionError("facet computation violated by a generator")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +264,12 @@ class IntegerCone:
     when the given halfspaces were not.  The extreme rays are the DD rays
     when an H-described cone is pointed; otherwise they wait until first
     asked for.
+
+    Construction ends by computing the value matrix of _facet_values, and
+    that is the one check that every generator satisfies every facet, on
+    both paths (AssertionError otherwise).  The extreme rays take their
+    tight sets from it, the triangulation its incidences, and the Hilbert
+    basis the values of the extreme rays.
     """
 
     def __init__(self, dim, generators=None, halfspaces=None):
@@ -265,10 +296,9 @@ class IntegerCone:
         if any(len(g) != dim for g in self._generators):
             raise InputError("generator dimension mismatch")
         if facets is None:
-            facets = facets_of_generators(dim, self._generators)
-        elif not all(h.holds(g) for g in self._generators for h in facets):
-            raise AssertionError("facet computation violated by a generator")
+            facets = _polar_facets(dim, self._generators)
         self._facets = tuple(facets)
+        self._values = _facet_values(self._facets, self._generators)
 
     @property
     def facets(self):
@@ -286,15 +316,14 @@ class IntegerCone:
         tight on a strict superset of its facets: a non-extreme generator
         lies inside a face spanned by two or more extreme rays, each tight
         on more facets than it, while only multiples of an extreme ray are
-        tight on all of its facets.
+        tight on all of its facets.  The tight sets are the zeros of the
+        value matrix.
         """
         if self._extreme is None:
             if not self.is_pointed():
                 raise NotPointedError("extreme rays require a pointed cone")
-            facets = self.facets
-            tight = {p: sum(1 << i for i, h in enumerate(facets)
-                            if dot(h.normal, p) == 0)
-                     for p in map(primitive, self.generators)}
+            tight = {p: sum(1 << i for i, v in enumerate(row) if not v)
+                     for p, row in self._values.items()}
             self._extreme = tuple(sorted(
                 p for p, m in tight.items()
                 if not any(o != m and o & m == m for o in tight.values())))
@@ -366,11 +395,11 @@ def extreme_rays_of_halfspaces_or_lineality(dim, halfspaces):
 # ---------------------------------------------------------------------------
 # triangulation and Hilbert bases
 
-def _triangulate(rays, facets):
+def _triangulate(cone):
     """Pulling triangulation of a pointed cone from its own face lattice.
 
     A face is a bitmask over the sorted extreme rays; the cone's facets give
-    one incidence mask each.  The facets of a face S are the inclusion-
+    one incidence mask each, the zeros of a column of the value matrix.  The facets of a face S are the inclusion-
     maximal sets S & F over the cone facets F that do not contain S, and a
     face is simplicial when its ray count equals its dimension, which starts
     at the rank of the rays and drops by one per level.  A non-simplicial
@@ -379,9 +408,9 @@ def _triangulate(rays, facets):
     of a shared face agree, and each face is triangulated once.  Every
     simplicial piece is a tuple of linearly independent rays.
     """
-    rays = sorted(rays)
-    incidences = {sum(1 << i for i, r in enumerate(rays)
-                      if dot(h.normal, r) == 0) for h in facets}
+    rays = cone.extreme_rays()
+    incidences = {sum(1 << i for i, v in enumerate(column) if not v)
+                  for column in zip(*(cone._values[r] for r in rays))}
     memo = {}
 
     def pieces(face, dim):
@@ -475,23 +504,33 @@ def hilbert_basis_of(dim, generators=None, halfspaces=None):
 
 def hilbert_basis(cone):
     """Minimal integer generating set of all lattice points of a pointed
-    cone.  Independent of the triangulation used internally."""
+    cone.  Independent of the triangulation used internally.
+
+    The primitive vector of an extreme ray is always a member: the ray is
+    a face, so both terms of a sum of two lattice points of the cone on it
+    lie on it too, and primitivity leaves no room for two non-zero ones.
+    Only the parallelepiped points are tested against the other candidates,
+    by facet values: the extreme rays' come with the cone, and each point's
+    are computed once.
+    """
     _refuse_past_cap(cone.dim)
     rays = cone.extreme_rays()
     if not rays:
         return HilbertBasis(elements=(), cone=cone)
-    facets = cone.facets
-    candidates = set(rays)
-    for simplex in _triangulate(rays, facets):
-        candidates.update(_parallelepiped_points(simplex))
-    members = sorted(candidates)
+    points = set()
+    for simplex in _triangulate(cone):
+        points.update(_parallelepiped_points(simplex))
+    points = sorted(points)
+    normals = [h.normal for h in cone.facets]
     # g - h lies in the cone exactly when every facet value of g is at
-    # least that of h, so each candidate's values are computed once
-    values = [tuple(dot(h.normal, g) for h in facets) for g in members]
-    basis = [g for i, (g, vg) in enumerate(zip(members, values))
-             if not any(j != i and all(x >= y for x, y in zip(vg, vh))
-                        for j, vh in enumerate(values))]
-    return HilbertBasis(elements=tuple(basis), cone=cone)
+    # least that of h
+    values = [cone._values[r] for r in rays]
+    values += [tuple([dot(a, g) for a in normals]) for g in points]
+    basis = list(rays)
+    basis += [g for i, g in enumerate(points, len(rays))
+              if not any(j != i and all(map(ge, values[i], vh))
+                         for j, vh in enumerate(values))]
+    return HilbertBasis(elements=tuple(sorted(basis)), cone=cone)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ floating point.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def gcd_vec(v):
@@ -87,7 +88,10 @@ def solve_square(rows, rhs):
 def det_int(rows):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination: every division is exact, and every entry is a minor of
-    the input, so the integers stay as small as the minors."""
+    the input, so the integers stay as small as the minors.  Step k updates
+    only the columns after the pivot, which are all that later steps read.
+    A row that is zero in the pivot column is only rescaled by lead / prev,
+    and left as it is when the two are equal."""
     m = [list(r) for r in rows]
     n = len(m)
     sign, prev = 1, 1
@@ -98,11 +102,15 @@ def det_int(rows):
                 return 0
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        top = m[k]
-        lead = top[k]
-        for i in range(k + 1, n):
-            x = m[i][k]
-            m[i] = [(lead * a - x * b) // prev for a, b in zip(m[i], top)]
+        lead = m[k][k]
+        tail = m[k][k + 1:]
+        for row in m[k + 1:]:
+            x = row[k]
+            if x:
+                row[k + 1:] = [(lead * a - x * b) // prev
+                               for a, b in zip(row[k + 1:], tail)]
+            elif lead != prev:
+                row[k + 1:] = [lead * a // prev for a in row[k + 1:]]
         prev = lead
     return sign * m[-1][-1]
 

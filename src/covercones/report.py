@@ -45,6 +45,9 @@ def _plain(obj):
 
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    if isinstance(obj, (list, tuple)) and all(
+            x is None or isinstance(x, (bool, int, str)) for x in obj):
+        return list(obj)    # a flat row of scalars, as the branches below
     if isinstance(obj, Fraction):
         return str(obj) if obj.denominator != 1 else int(obj)
     if isinstance(obj, Mapping):

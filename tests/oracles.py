@@ -9,10 +9,11 @@ simplex and for determinants, and Gram-Schmidt for the facet normals of
 a lower-dimensional cone.  The LP questions go to the exact simplex of
 simplex.py, which lives only on the test side: the package itself reads
 every LP value off a double description.  None of it shares code paths
-with the double description or triangulation it cross-checks, except two
-helpers built on the package's own cones: recession_rays, and the
+with the double description or triangulation it cross-checks, except three
+helpers built on the package's own cones: recession_rays, the
 Gram-Schmidt reference, which projects the package's DD rays because what
-it checks is the projection.
+it checks is the projection, and all_pairs_basis, which reuses the
+package's candidates because what it checks is the reduction.
 """
 
 from fractions import Fraction
@@ -175,6 +176,21 @@ def brute_hilbert_basis(generators, box_hi=6):
         if not reducible:
             basis.append(p)
     return sorted(basis)
+
+
+def all_pairs_basis(cone):
+    """The Hilbert basis from the package's own candidates (the extreme
+    rays and the parallelepiped points of its triangulation), reduced by
+    testing every candidate, extreme rays included: g is dropped when
+    g - h lies in the cone, by its facets, for some other candidate h."""
+    from covercones.cones import _parallelepiped_points, _triangulate
+    candidates = set(cone.extreme_rays())
+    for simplex in _triangulate(cone):
+        candidates.update(_parallelepiped_points(simplex))
+    return tuple(g for g in sorted(candidates)
+                 if not any(h != g and cone.contains(
+                     tuple(x - y for x, y in zip(g, h)))
+                            for h in candidates))
 
 
 def brute_lattice_points_dilation(points, b, membership):

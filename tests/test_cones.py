@@ -16,7 +16,7 @@ from covercones.linalg import dot
 from covercones.lp import GE
 
 from corpus import cycle_graph, sampled_graph, small_graph_corpus
-from oracles import (brute_hilbert_basis, brute_lattice_points_dilation,
+from oracles import (all_pairs_basis, brute_hilbert_basis, brute_lattice_points_dilation,
                      brute_vertices, cone_membership_lp, feasible,
                      fraction_det, gram_schmidt_facets,
                      irredundancy_witnesses, rank_filtered_extreme_rays,
@@ -90,22 +90,47 @@ def test_hilbert_basis_requires_pointed_and_capped():
         hilbert_basis(big)
 
 
-def test_hilbert_basis_against_lattice_scan():
-    rng = random.Random(20260811)
-    checked = 0
-    while checked < 40:
+def _random_orthant_cones(count=40, seed=20260811):
+    """Cones of 2..6 random generators in {0..3}^d, d = 2..4."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
         dim = rng.randint(2, 4)
         gens = [tuple(rng.randint(0, 3) for _ in range(dim))
                 for _ in range(rng.randint(2, 6))]
         gens = [g for g in gens if any(g)]
-        if not gens:
-            continue
-        checked += 1
-        cone = IntegerCone(dim, gens)
+        if gens:
+            cones.append(IntegerCone(dim, gens))
+    return cones
+
+
+def test_hilbert_basis_against_lattice_scan():
+    for cone in _random_orthant_cones():
+        gens = list(cone.generators)
         hb = hilbert_basis(cone)
         expected = brute_hilbert_basis(gens, box_hi=6)
         got = [e for e in hb.elements if max(e) <= 6]
         assert got == expected
+
+
+def test_extreme_rays_skip_the_reduction():
+    # an extreme ray is irreducible, so only parallelepiped points are
+    # tested; the oracle tests every candidate.  Some points split only
+    # into a sum with an extreme ray in it, which the extra cones reach.
+    from covercones import rees_cone, simis_cone
+    cones = _random_orthant_cones() + _random_orthant_cones(300, seed=1)
+    for G in small_graph_corpus():
+        edge_ideal = [tuple(int(v in e) for v in range(1, G.n + 1))
+                      for e in G.edges]
+        cones.append(simis_cone(edge_ideal).cone)
+        cones.append(rees_cone(cover_ideal(edge_clutter(G))).cone)
+    reduced = 0
+    for cone in cones:
+        elements = hilbert_basis(cone).elements
+        assert elements == all_pairs_basis(cone)
+        assert set(cone.extreme_rays()) <= set(elements)
+        reduced += len(elements) > len(cone.extreme_rays())
+    assert reduced >= 150
 
 
 def _grading_volume(pieces):
@@ -139,7 +164,7 @@ def test_triangulation_of_cycle_cones():
                  rees_cone(cover_ideal(edge_clutter(G))).cone)
         for cone, count in zip(cones, counts):
             rays = cone.extreme_rays()
-            pieces = _triangulate(rays, cone.facets)
+            pieces = _triangulate(cone)
             assert len(pieces) == count, (k, cone)
             for S in pieces:
                 assert len(S) == cone.dim == rank_int(S)
@@ -147,7 +172,7 @@ def test_triangulation_of_cycle_cones():
             # the reversed copy pulls from another apex, so its
             # triangulation differs but covers the same volume
             flipped = IntegerCone(cone.dim, [r[::-1] for r in rays])
-            others = _triangulate(flipped.extreme_rays(), flipped.facets)
+            others = _triangulate(flipped)
             assert {frozenset(S) for S in pieces} != \
                 {frozenset(s[::-1] for s in S) for S in others}
             assert _grading_volume(pieces) == _grading_volume(others)
@@ -202,6 +227,55 @@ def test_det_int_matches_fraction_elimination():
         singular += want == 0
         assert det_int(rows) == want, rows
     assert singular >= 100
+    # sparse 0/1 matrices leave rows that are zero in the pivot column
+    # while lead != prev: those rows are only rescaled
+    for trial in range(450):
+        n = trial % 9 + 2
+        rows = [[int(rng.random() < 0.35) for _ in range(n)]
+                for _ in range(n)]
+        assert det_int(rows) == fraction_det(rows), rows
+
+
+def test_facet_self_check_runs_once_and_fires(monkeypatch, tmp_path, capsys):
+    from covercones import cones
+    from covercones.cli import main
+    checks = []
+    real_values = cones._facet_values
+
+    def counted(facets, generators):
+        checks.append(len(generators))
+        return real_values(facets, generators)
+
+    monkeypatch.setattr(cones, "_facet_values", counted)
+    orthant3 = [make_halfspace(unit(3, i)) for i in range(3)]
+    IntegerCone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 2, 2)])
+    IntegerCone(3, halfspaces=orthant3 + [make_halfspace((1, 1, 0))])
+    assert checks == [4, 3]
+
+    # one wrong DD ray: a wrong facet of a V-described cone, a wrong
+    # generator of an H-described one
+    real_dd = cones._dd_pair
+
+    def first_ray_flipped(dim, normals):
+        rays, lineality, used = real_dd(dim, normals)
+        (vec, mask), *rest = rays
+        return [(tuple(-x for x in vec), mask)] + rest, lineality, used
+
+    monkeypatch.setattr(cones, "_dd_pair", first_ray_flipped)
+    with pytest.raises(AssertionError, match="violated by a generator"):
+        IntegerCone(3, [unit(3, i) for i in range(3)])
+    with pytest.raises(AssertionError, match="violated by a generator"):
+        IntegerCone(3, halfspaces=orthant3)
+    with pytest.raises(AssertionError, match="violated by a generator"):
+        facets_of_generators(3, [unit(3, i) for i in range(3)])
+    path = tmp_path / "p3.graph"
+    path.write_text("graph { a-b b-c }\n", encoding="utf-8")
+    for cone in ("simis", "rees"):
+        assert main(["hilbert-basis", str(path), "--cone", cone]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("error: internal consistency failure: facet "
+                                "computation violated by a generator\n")
+        assert captured.out == ""
 
 
 def test_parallelepiped_points_empty_on_unimodular_simplices():
