@@ -32,7 +32,6 @@ from .cones import (Halfspace, HilbertBasis, HRepPolyhedron, IntegerCone,
                     semigroup_member, vertices)
 from .errors import (CapExceededError, DegenerateMinorError, InfeasibleError,
                      InputError, NoGradingError, NotPointedError)
-from .lp import ILPResult, LinearProgram, make_lp, solve_ilp_bounded
 from .report import CheckReport
 
 __version__ = "0.1.0"

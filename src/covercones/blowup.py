@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cones
-from .clutters import Clutter, all_cliques, cover_ideal, edge_clutter
+from .clutters import (Clutter, _exponent, all_cliques, cover_ideal,
+                       edge_clutter)
 from .cones import (Halfspace, HRepPolyhedron, IntegerCone, hilbert_basis_of,
                     homogenized_rays, make_halfspace, orthant)
 from .errors import CapExceededError, InputError
@@ -181,8 +182,8 @@ def clique_lift_set(G):
     """(w, |w|-1) for every non-empty clique w of G, as monomials."""
     out = []
     for clique in all_cliques(G):
-        exps = tuple(1 if v in clique else 0 for v in range(1, G.n + 1))
-        out.append(MonomialGenerator(exponents=exps, t_degree=len(clique) - 1))
+        out.append(MonomialGenerator(exponents=_exponent(G.n, set(clique)),
+                                     t_degree=len(clique) - 1))
     return out
 
 

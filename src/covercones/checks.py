@@ -3,27 +3,26 @@
 Each check here rides a characterization (clique facets, polytope
 integrality, Hilbert-basis conditions, the strong perfect graph theorem) and
 reports `method: theorem-path`; each has an oracle partner that decides the
-same property by exhaustive search or LP/ILP comparison and reports
-`method: oracle`.  The test suite runs both on small inputs and treats any
-disagreement as a failure, which is the point of the package.
+same property by exhaustive search, or by a search for an integral point
+that attains each LP value, and reports `method: oracle`.  The test suite
+runs both on small inputs and treats any disagreement as a failure, which
+is the point of the package.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, lcm
+from math import lcm
 
 from . import clutters, cones, lp
 from .blowup import is_rees_normal, rees_lift_set
-from .clutters import (IncidenceMatrix, all_cliques, chordless_cycles,
-                       cover_ideal, dual_ideal, edge_clutter, Graph,
-                       incidence_matrix, is_chordal, complement,
-                       minimal_vertex_covers)
+from .clutters import (IncidenceMatrix, _exponent, all_cliques,
+                       chordless_cycles, cover_ideal, dual_ideal, edge_clutter,
+                       Graph, incidence_matrix, is_chordal, complement)
 from .cones import (HRepPolyhedron, Halfspace, IntegerCone, hilbert_basis_of,
                     homogenized_rays, is_integral, make_halfspace, orthant,
                     vertices)
 from .errors import CapExceededError, InputError
 from .linalg import dot
-from .lp import GE, OPTIMAL, LinearProgram, solve_ilp_bounded
 from .report import ORACLE, THEOREM_PATH, CheckReport
 
 BALANCED_ORACLE_ORDER_CAP = 7
@@ -51,9 +50,8 @@ def clique_halfspaces(G):
     n = G.n
     out = [make_halfspace(tuple(int(j == n) for j in range(n + 1)))]
     for clique in all_cliques(G):
-        normal = [1 if v in clique else 0 for v in range(1, n + 1)]
-        normal.append(-(len(clique) - 1))
-        out.append(make_halfspace(tuple(normal)))
+        out.append(make_halfspace(
+            _exponent(n, set(clique)) + (-(len(clique) - 1),)))
     return sorted(out)
 
 
@@ -61,13 +59,16 @@ def perfect_via_rees_cone(G):
     """Perfection through the cover ideal's cone geometry: the graph is
     perfect iff the irreducible facet list of the Rees cone of its cover
     ideal is exactly the clique inequality list.  The facets come from one
-    double description, bounded by cones.DD_BUDGET ray pairs."""
+    double description, bounded by cones.DD_BUDGET ray pairs, and the
+    covers and cliques from enumerations bounded by
+    clutters.ENUMERATION_BUDGET nodes."""
     if G.isolated_vertices():
         raise InputError("perfection checks need a graph without isolated vertices")
     lifts = rees_lift_set(cover_ideal(edge_clutter(G)))
     facets = set(IntegerCone(G.n + 1, lifts).facets)
     cliques = set(clique_halfspaces(G))
-    bounds = {"dd_budget": cones.DD_BUDGET}
+    bounds = {"dd_budget": cones.DD_BUDGET,
+              "enumeration_budget": clutters.ENUMERATION_BUDGET}
     if facets == cliques:
         return CheckReport(
             name="perfect-via-cone", verdict=True, method=THEOREM_PATH,
@@ -175,29 +176,19 @@ def _covering_minimum(n, cols):
 def tdi_oracle(A):
     """Definitional TDI cross-check on a small matrix: for every integral
     objective alpha in the box [-2, max row sum]^n with a finite covering
-    minimum L = min{1.y : Ay >= alpha, y >= 0}, some integral y must attain
-    L.  Bounded verification; the boxes are part of the report.  Each
-    objective and each branch-and-bound node of its integer program is
-    charged to lp.NODE_BUDGET, which also stops each integer program on
-    its own, so a run does at most about twice the budget before it raises
+    minimum L = min{1.y : Ay >= alpha, y >= 0}, some integral y >= 0 with
+    Ay >= alpha must have 1.y = L.  Bounded verification; the box is part
+    of the report.  A fractional L is a witness at once, and an integral
+    one goes to lp.covering_attains.  Each objective and each search node
+    is charged to lp.NODE_BUDGET, which also stops each search on its own,
+    so a run does at most about twice the budget before it raises
     CapExceededError.
-
-    The box 0 <= y_j <= y_hi holds an integral optimum when the matrix is
-    non-negative.  With negative entries the box of alpha also reaches
-    ceil(L), since an integral y of cost L has every entry at most L.
     """
     n, cols = _columns_of(A)
-    q = len(cols)
     alpha_hi = max(sum(col[i] for col in cols) for i in range(n))
     if alpha_hi < -2:
         raise InputError(f"alpha box [-2, {alpha_hi}] holds no objective")
-    max_alpha = max(2, abs(alpha_hi))
-    row_max = max((sum(col) for col in cols), default=0)
-    y_hi = max_alpha + row_max
-    nonneg_entries = all(x >= 0 for col in cols for x in col)
     covering = _covering_minimum(n, cols)
-    rows = tuple(tuple(col[i] for col in cols) for i in range(n))  # A y
-    widest = y_hi
     checked = 0
     budget = lp.NODE_BUDGET
     spent = 0
@@ -207,27 +198,23 @@ def tdi_oracle(A):
         if spent > budget:
             raise CapExceededError(
                 f"TDI oracle exceeded its budget of {budget} objectives "
-                "and branch-and-bound nodes")
+                "and search nodes")
         lp_value = covering(alpha)
         if lp_value is None:
             continue  # no finite minimum for this alpha
         checked += 1
-        box_hi = y_hi if nonneg_entries else max(y_hi, ceil(lp_value))
-        widest = max(widest, box_hi)
-        prog = LinearProgram(objective=(1,) * q, rows=rows, rhs=alpha,
-                             senses=(GE,) * n, nonneg=(True,) * q)
-        ilp = solve_ilp_bounded(prog, [(0, box_hi)] * q)
-        spent += ilp.nodes
-        if ilp.status != OPTIMAL or ilp.value != lp_value:
+        attained = lp_value.denominator == 1
+        if attained:
+            attained, nodes = lp.covering_attains(cols, alpha, int(lp_value))
+            spent += nodes
+        if not attained:
             return CheckReport(
                 name="tdi-oracle", verdict=False, method=ORACLE,
-                witness={"alpha": alpha, "lp_value": lp_value,
-                         "ilp_value": ilp.value},
-                search_bounds={**bounds, "y_box": [0, box_hi]})
+                witness={"alpha": alpha, "lp_value": lp_value},
+                search_bounds=bounds)
     return CheckReport(
         name="tdi-oracle", verdict=True, method=ORACLE,
-        certificate={"objectives_checked": checked},
-        search_bounds={**bounds, "y_box": [0, widest]})
+        certificate={"objectives_checked": checked}, search_bounds=bounds)
 
 
 def balanced_check(A):
@@ -300,8 +287,7 @@ def mfmc_check(C):
             reason=f"edges have mixed cardinalities {sorted(sizes)}")
     A = incidence_matrix(C)
     n, cols = A.n, list(A.columns)
-    covers = {tuple(1 if i in set(c) else 0 for i in range(1, n + 1))
-              for c in minimal_vertex_covers(C)}
+    covers = set(cover_ideal(C))
     covering = HRepPolyhedron(n, tuple(
         orthant(n) + [Halfspace(col, 1) for col in cols]))
     packing_report = is_integral(_packing_polytope(n, cols))

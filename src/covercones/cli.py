@@ -4,9 +4,9 @@ One command per invocation; input files hold a graph, clutter, matrix or
 ideal (see textio).  Output is a pretty text report by default or a
 versioned machine-readable document with --json.  Exit codes: 0 the command
 completed (whatever the verdict), 1 the verdict differed from --assert,
-2 malformed input, 3 a size cap was exceeded, 4 an internal self-check
-failed (a theorem path disagreed with an independent path or its own
-invariant).
+2 malformed input, 3 a size cap or search budget was exceeded, 4 an
+internal self-check failed (a theorem path disagreed with an independent
+path or its own invariant).
 """
 
 import argparse
@@ -18,8 +18,8 @@ import sys
 import time
 
 from . import blowup, checks
-from .clutters import (all_cliques, blocker, clique_equalization, cover_ideal,
-                       dual_ideal, edge_clutter, maximal_cliques,
+from .clutters import (_exponent, all_cliques, blocker, clique_equalization,
+                       cover_ideal, dual_ideal, edge_clutter, maximal_cliques,
                        minimal_vertex_covers)
 from .errors import CapExceededError, InputError
 from .report import _plain
@@ -61,8 +61,8 @@ def _cover_side_ideal(doc):
     if doc.kind == "graph":
         return cover_ideal(edge_clutter(doc.graph)), "cover ideal of the graph"
     if doc.kind == "clutter":
-        return [tuple(1 if v in set(e) else 0 for v in range(1, doc.n + 1))
-                for e in doc.clutter.edges], "edge ideal of the clutter"
+        return [_exponent(doc.n, set(e)) for e in doc.clutter.edges], \
+            "edge ideal of the clutter"
     if doc.kind == "ideal":
         return list(doc.rows), "given ideal"
     raise InputError(f"command expects a graph, clutter or ideal, got {doc.kind}")
@@ -70,8 +70,8 @@ def _cover_side_ideal(doc):
 
 def _edge_side_ideal(doc):
     if doc.kind == "graph":
-        return [tuple(1 if v in e else 0 for v in range(1, doc.n + 1))
-                for e in doc.graph.edges], "edge ideal of the graph"
+        return [_exponent(doc.n, e) for e in doc.graph.edges], \
+            "edge ideal of the graph"
     return _cover_side_ideal(doc)
 
 

@@ -6,10 +6,10 @@ class InputError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A configured size cap was exceeded.
+    """A size cap or a search budget was exceeded.
 
-    Exhaustive oracles and Hilbert basis computations refuse inputs above
-    their caps instead of running unbounded searches.
+    Inputs above a cap are refused, and a search stops once it has spent
+    its budget of nodes or ray pairs, instead of running unbounded.
     """
 
 

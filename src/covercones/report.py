@@ -7,6 +7,7 @@ produced it.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Mapping
 
 THEOREM_PATH = "theorem-path"
@@ -41,8 +42,6 @@ class CheckReport:
 
 def _plain(obj):
     """Recursively convert report payloads to JSON-encodable values."""
-    from fractions import Fraction
-
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (list, tuple)) and all(

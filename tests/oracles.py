@@ -21,13 +21,13 @@ from itertools import combinations, product
 from math import gcd
 
 from covercones import (CapExceededError, CheckReport, InfeasibleError,
-                        IntegerCone, cover_ideal, edge_clutter, lp,
+                        IntegerCone, cover_ideal, edge_clutter,
                         make_halfspace, maximal_cliques, rees_cone)
 from covercones.cones import _dd_pair
 from covercones.linalg import dot, primitive, rank_int, sign_normalized
 from covercones.report import ORACLE
 
-from simplex import solve
+from simplex import EQ, GE, LE, OPTIMAL, LinearProgram, make_lp, solve
 
 PERFECTION_ORACLE_CAP = 9
 
@@ -272,11 +272,11 @@ def brute_vertices(P):
     linearly independent constraints is solved exactly and kept when
     feasible.  Prefix elimination states are shared across subsets.  An
     exact LP decides emptiness first and raises InfeasibleError."""
-    prog = lp.make_lp(
+    prog = make_lp(
         objective=[0] * P.dim,
         rows=[list(h.normal) for h in P.halfspaces],
         rhs=[h.rhs for h in P.halfspaces],
-        senses=[lp.GE] * len(P.halfspaces),
+        senses=[GE] * len(P.halfspaces),
         nonneg=[False] * P.dim)
     if not feasible(prog):
         raise InfeasibleError("polyhedron is empty")
@@ -322,11 +322,11 @@ def brute_vertices(P):
 
 def feasible(prog):
     """Feasibility of a linear program (the objective is ignored)."""
-    probe = lp.LinearProgram(
+    probe = LinearProgram(
         objective=(0,) * len(prog.objective),
         rows=prog.rows, rhs=prog.rhs, senses=prog.senses,
         nonneg=prog.nonneg, maximize=False)
-    return solve(probe).status == lp.OPTIMAL
+    return solve(probe).status == OPTIMAL
 
 
 def cone_membership_lp(generators, point):
@@ -334,10 +334,23 @@ def cone_membership_lp(generators, point):
     independent of the double description path."""
     dim = len(point)
     rows = [[g[i] for g in generators] for i in range(dim)]
-    prog = lp.make_lp(
+    prog = make_lp(
         objective=[0] * len(generators),
-        rows=rows, rhs=list(point), senses=[lp.EQ] * dim)
+        rows=rows, rhs=list(point), senses=[EQ] * dim)
     return feasible(prog)
+
+
+def covering_by_scan(cols, alpha, total):
+    """Whether some integral y >= 0 with sum_j y_j cols[j] >= alpha has
+    1.y <= total, by scanning [0, total]^q: no entry of such a y exceeds
+    total, so the box is exhaustive.  A fractional total is rounded down."""
+    total = int(total // 1)
+    for y in product(range(total + 1), repeat=len(cols)):
+        if sum(y) <= total and all(
+                sum(yj * col[i] for yj, col in zip(y, cols)) >= a
+                for i, a in enumerate(alpha)):
+            return True
+    return False
 
 
 def irredundancy_witnesses(dim, halfspaces):
@@ -346,14 +359,14 @@ def irredundancy_witnesses(dim, halfspaces):
     out = []
     for k, h in enumerate(halfspaces):
         others = [o for i, o in enumerate(halfspaces) if i != k]
-        prog = lp.make_lp(
+        prog = make_lp(
             objective=[0] * dim,
             rows=[list(o.normal) for o in others] + [list(h.normal)],
             rhs=[o.rhs for o in others] + [h.rhs - 1],
-            senses=[lp.GE] * len(others) + [lp.LE],
+            senses=[GE] * len(others) + [LE],
             nonneg=[False] * dim)
         res = solve(prog)
-        if res.status != lp.OPTIMAL:
+        if res.status != OPTIMAL:
             return None, k
         out.append(res.primal)
     return out, None

@@ -6,7 +6,7 @@ a dual solution, and both feasibility and the strong-duality equation are
 re-verified exactly before the result is returned, so an LPResult with
 status "optimal" is a checked certificate, not just a solver claim.  It
 shares no code with the double description that the package reads its LP
-values from; programs are the integer LinearProgram of covercones.lp.
+values from.  Programs are the integer LinearProgram defined here.
 
 No tolerances exist in this module; all comparisons are exact.
 """
@@ -14,10 +14,58 @@ No tolerances exist in this module; all comparisons are exact.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from covercones.errors import InputError
 from covercones.linalg import solve_square
-from covercones.lp import EQ, GE, INFEASIBLE, LE, OPTIMAL
 
+LE, GE, EQ = "<=", ">=", "=="
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """min/max objective . x  subject to  row_i . x (<=, >=, ==) rhs_i, with
+    x_j >= 0 for each j with nonneg[j] true and x_j free otherwise.  All
+    data are integers."""
+
+    objective: tuple
+    rows: tuple
+    rhs: tuple
+    senses: tuple
+    nonneg: tuple
+    maximize: bool = False
+
+    def __post_init__(self):
+        nvars = len(self.objective)
+        if len(self.rows) != len(self.rhs) or len(self.rows) != len(self.senses):
+            raise InputError("inconsistent row data")
+        if any(len(r) != nvars for r in self.rows):
+            raise InputError("row length does not match objective length")
+        if len(self.nonneg) != nvars:
+            raise InputError("sign constraint list does not match variables")
+        if any(s not in (LE, GE, EQ) for s in self.senses):
+            raise InputError(f"unknown sense in {self.senses}")
+
+
+def _integer(x):
+    if int(x) != x:
+        raise InputError(f"non-integral program coefficient {x}")
+    return int(x)
+
+
+def make_lp(objective, rows, rhs, senses, nonneg=None, maximize=False):
+    objective = tuple(_integer(c) for c in objective)
+    if nonneg is None:
+        nonneg = tuple(True for _ in objective)
+    return LinearProgram(
+        objective=objective,
+        rows=tuple(tuple(_integer(a) for a in r) for r in rows),
+        rhs=tuple(_integer(b) for b in rhs),
+        senses=tuple(senses),
+        nonneg=tuple(bool(b) for b in nonneg),
+        maximize=maximize)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,13 @@ from covercones import (Clutter, Graph, InputError, IntegerCone,
 from covercones import clutters, cones
 from covercones.checks import _columns_of, _covering_minimum
 from covercones.errors import CapExceededError
-from covercones.lp import GE, INFEASIBLE, OPTIMAL, make_lp, solve_ilp_bounded
+from covercones.lp import covering_attains
 
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
                     cycle_graph, no_isolated, path_graph, small_graph_corpus,
                     with_edges)
-from oracles import is_perfect_definitional
-from simplex import solve
+from oracles import covering_by_scan, is_perfect_definitional
+from simplex import GE, INFEASIBLE, OPTIMAL, make_lp, solve
 
 
 def test_cone_perfection_fixtures(monkeypatch):
@@ -167,11 +167,12 @@ def test_tdi_on_integer_matrix_is_one_directional():
 def test_tdi_oracle_fixtures():
     r = tdi_oracle(vertex_clique_matrix(complete_graph(2)))
     assert r.verdict is True and r.certificate["objectives_checked"] > 0
-    r = tdi_oracle(incidence_matrix(edge_clutter(cycle_graph(3))))
+    A = incidence_matrix(edge_clutter(cycle_graph(3)))
+    r = tdi_oracle(A)
     assert r.verdict is False
-    assert r.witness["alpha"] == (1, 1, 1)
-    assert (r.witness["lp_value"], r.witness["ilp_value"]) == (
-        Fraction(3, 2), 2)
+    assert r.witness == {"alpha": (1, 1, 1), "lp_value": Fraction(3, 2)}
+    # the witness is genuine: no integral y of cost at most 3/2 covers it
+    assert not covering_by_scan(A.columns, (1, 1, 1), Fraction(3, 2))
 
 
 def test_tdi_oracle_stops_past_its_budget(monkeypatch):
@@ -183,7 +184,7 @@ def test_tdi_oracle_stops_past_its_budget(monkeypatch):
         tdi_oracle(A)
 
 
-# 2 -1 2 / -1 1 -1: alpha = (-1, 3) needs y = (0, 5, 2), past y_hi = 4
+# 2 -1 2 / -1 1 -1: alpha = (-1, 3) needs y = (0, 5, 2), of cost 7
 NEGATIVE_ENTRIES = [(2, -1), (-1, 1), (2, -1)]
 # the second row is zero: e_2 is a recession ray of the packing polytope
 ZERO_ROW = [(1, 0), (1, 0)]
@@ -221,12 +222,12 @@ def test_tdi_oracle_box_reaches_the_lp_value_on_negative_entries():
     r = tdi_oracle(NEGATIVE_ENTRIES)
     assert r.verdict is False
     # the witness is genuine: a fractional LP value no integral y attains
-    assert r.witness == {"alpha": (1, -2), "lp_value": Fraction(1, 2),
-                         "ilp_value": 1}
-    rows = [[2, -1, 2], [-1, 1, -1]]
-    ilp = solve_ilp_bounded(make_lp([1] * 3, rows, [-1, 3], [GE] * 2),
-                            [(0, 7)] * 3)
-    assert ilp.value == 7 == _covering_minimum(2, NEGATIVE_ENTRIES)((-1, 3))
+    assert r.witness == {"alpha": (1, -2), "lp_value": Fraction(1, 2)}
+    assert not covering_by_scan(NEGATIVE_ENTRIES, (1, -2), Fraction(1, 2))
+    # the search needs no box: y = (0, 5, 2) attains the LP value 7
+    assert _covering_minimum(2, NEGATIVE_ENTRIES)((-1, 3)) == 7
+    assert covering_attains(NEGATIVE_ENTRIES, (-1, 3), 7)[0] is True
+    assert covering_attains(NEGATIVE_ENTRIES, (-1, 3), 6)[0] is False
     zero_row = tdi_oracle(ZERO_ROW)
     assert zero_row.verdict is True
     # of the 25 objectives in [-2, 2]^2, those with alpha_2 > 0 have no
@@ -248,6 +249,42 @@ def test_tdi_oracle_agrees_with_tdi_check_on_small_matrices():
         if len(cols) > 4:
             continue
         assert tdi_check(A).verdict == tdi_oracle(A).verdict
+
+
+# the graphs on five vertices whose vertex-clique (VC) or edge-incidence
+# (EI) matrix needed more than 500,000 objectives and nodes when each
+# objective ran a branch-and-bound over a box of y
+SEARCH_HEAVY_VC = [
+    [(1, 2), (1, 3), (1, 4)], [(1, 2), (1, 3), (1, 4), (1, 5)],
+    [(1, 2), (1, 4), (1, 5), (2, 3)], [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4)],
+    [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)],
+]
+SEARCH_HEAVY_EI = SEARCH_HEAVY_VC[1:] + [
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)],
+    [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 4)],
+    [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)],
+    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4),
+     (3, 5)],
+]
+
+
+def test_tdi_oracle_answers_the_search_heavy_graph_matrices():
+    """Each graph here is perfect, so its VC matrix is TDI; an EI matrix is
+    TDI exactly when the graph is bipartite.  The oracle's verdict agrees
+    with tdi_check's on all of them."""
+    matrices = [vertex_clique_matrix(Graph(5, e)) for e in SEARCH_HEAVY_VC]
+    matrices += [incidence_matrix(edge_clutter(Graph(5, e)))
+                 for e in SEARCH_HEAVY_EI]
+    verdicts = [tdi_oracle(A).verdict for A in matrices]
+    assert verdicts == [tdi_check(A).verdict for A in matrices]
+    assert verdicts.count(True) == 6 + 4
 
 
 def test_balanced_fixtures():
@@ -296,11 +333,11 @@ def test_mfmc_fixtures():
 def test_mfmc_true_implies_integral_covering_ilp_for_all_ones():
     C = edge_clutter(cycle_graph(4))
     assert mfmc_check(C).verdict is True
-    rows = [[1 if v in e else 0 for e in C.edges] for v in range(1, C.n + 1)]
-    lp = make_lp([1] * len(C.edges), rows, [1] * C.n, [GE] * C.n)
-    relax = solve(lp)
-    ilp = solve_ilp_bounded(lp, [(0, 3)] * len(C.edges))
-    assert relax.status == OPTIMAL and ilp.value == relax.value
+    cols = list(incidence_matrix(C).columns)
+    rows = [[col[i] for col in cols] for i in range(C.n)]
+    relax = solve(make_lp([1] * len(cols), rows, [1] * C.n, [GE] * C.n))
+    assert relax.status == OPTIMAL and relax.value.denominator == 1
+    assert covering_attains(cols, (1,) * C.n, int(relax.value))[0] is True
 
 
 def test_cm_height_two_fixtures():

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,8 @@ from covercones.cli import main
 from covercones.textio import (ParseError, format_inequality, parse_input,
                                read_labels)
 from covercones import InputError, cones, make_halfspace
+
+from oracles import covering_by_scan
 
 
 @pytest.fixture
@@ -151,7 +154,8 @@ def test_check_perfect_past_nine_vertices(write, capsys):
         assert code == 0 and report["primary_verdict"] is perfect
         cone, holes = report["results"]
         assert cone["verdict"] is holes["verdict"] is perfect
-        assert cone["search_bounds"] == {"dd_budget": 1000000}
+        assert cone["search_bounds"] == {"dd_budget": 1000000,
+                                          "enumeration_budget": 1000000}
         if n == 11:
             assert cone["witness"]["non_clique_facets"] == [[1] * 11 + [-6]]
 
@@ -166,6 +170,17 @@ def test_cone_commands_exit_3_past_the_dd_budget(write, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.err == (
         "error: double description exceeded its budget of 10 ray pairs\n")
+    assert captured.out == ""
+
+
+def test_check_perfect_exits_3_past_the_enumeration_budget(write, capsys,
+                                                          monkeypatch):
+    from covercones import clutters
+    monkeypatch.setattr(clutters, "ENUMERATION_BUDGET", 5)
+    assert main(["check-perfect", write("c5.graph", PENTAGON)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: minimal cover expansion exceeded its budget of 5 nodes\n")
     assert captured.out == ""
 
 
@@ -281,12 +296,17 @@ def test_alpha_box_flag_is_gone(write, capsys):
 
 
 def test_tdi_oracle_on_a_matrix_with_negative_entries(write, capsys):
-    # alpha = (-1, 3) is met at cost 7 by y = (0, 5, 2), outside [0, 4]^3
+    # alpha = (-1, 3) is met at cost 7 by y = (0, 5, 2)
     path = write("neg.mat", "matrix { 2 -1 2 ; -1 1 -1 }\n")
     code, report = run_json(capsys, ["tdi-oracle", path])
     assert code == 0 and report["primary_verdict"] is False
-    assert report["results"][0]["witness"] == {
-        "alpha": [1, -2], "lp_value": "1/2", "ilp_value": 1}
+    section = report["results"][0]
+    assert section["witness"] == {"alpha": [1, -2], "lp_value": "1/2"}
+    assert section["search_bounds"] == {"alpha_box": [-2, 3],
+                                        "node_budget": 500000}
+    # no integral y of cost at most 1/2, so only y = 0, covers the witness
+    cols = [(2, -1), (-1, 1), (2, -1)]
+    assert not covering_by_scan(cols, (1, -2), Fraction(1, 2))
 
 
 def _bipartite_incidence(p, q):

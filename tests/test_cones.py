@@ -8,12 +8,11 @@ from covercones import (Halfspace, HRepPolyhedron, InfeasibleError,
                         edge_clutter, cover_ideal,
                         extreme_rays_of_halfspaces, facets_of_generators,
                         hilbert_basis, is_integral,
-                        lattice_points_dilation, make_halfspace, make_lp,
+                        lattice_points_dilation, make_halfspace,
                         polyhedron, semigroup_member, vertices)
 from covercones.cones import positive_grading
 from covercones.errors import CapExceededError, NoGradingError
 from covercones.linalg import dot
-from covercones.lp import GE
 
 from corpus import cycle_graph, sampled_graph, small_graph_corpus
 from oracles import (all_pairs_basis, brute_hilbert_basis, brute_lattice_points_dilation,
@@ -21,6 +20,7 @@ from oracles import (all_pairs_basis, brute_hilbert_basis, brute_lattice_points_
                      fraction_det, gram_schmidt_facets,
                      irredundancy_witnesses, rank_filtered_extreme_rays,
                      rank_filtered_facets, recession_rays, solve_columns)
+from simplex import GE, make_lp
 
 
 def unit(dim, i):
