@@ -27,9 +27,8 @@ from .clutters import (Clutter, Graph, IncidenceMatrix, all_cliques, blocker,
 from .cones import (Halfspace, HilbertBasis, HRepPolyhedron, IntegerCone,
                     SemigroupMembership,
                     extreme_rays_of_halfspaces, facets_of_generators,
-                    hilbert_basis, hilbert_basis_of, is_integral,
-                    lattice_points_dilation, make_halfspace, polyhedron,
-                    semigroup_member, vertices)
+                    hilbert_basis, is_integral, lattice_points_dilation,
+                    make_halfspace, polyhedron, semigroup_member, vertices)
 from .errors import (CapExceededError, DegenerateMinorError, InfeasibleError,
                      InputError, NoGradingError, NotPointedError)
 from .report import CheckReport

@@ -18,16 +18,14 @@ x^w t^{|w|-1}.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import cones
+from . import errors
 from .clutters import (Clutter, _exponent, all_cliques, cover_ideal,
                        edge_clutter)
-from .cones import (Halfspace, HRepPolyhedron, IntegerCone, hilbert_basis_of,
+from .cones import (Halfspace, HRepPolyhedron, IntegerCone, hilbert_basis,
                     homogenized_rays, make_halfspace, orthant)
-from .errors import CapExceededError, InputError
+from .errors import InputError, spend
 from .linalg import dot
 from .report import THEOREM_PATH, CheckReport
-
-GORENSTEIN_WALK_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ def is_rees_normal(ideal):
     """
     lifts = rees_lift_set(ideal)
     return _normality_report(
-        lifts, hilbert_basis_of(len(lifts[0]), generators=lifts))
+        lifts, hilbert_basis(IntegerCone(len(lifts[0]), lifts)))
 
 
 def _normality_report(lifts, hb):
@@ -126,7 +124,7 @@ def _normality_report(lifts, hb):
         return CheckReport(
             name="rees-normal", verdict=False, method=THEOREM_PATH,
             witness={"hilbert_basis_element": outside},
-            search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP,
+            search_bounds={"hb_budget": errors.SEARCH_BUDGET,
                            "budget": sum(outside)})
     certificates = []
     for element in hb.elements:
@@ -137,7 +135,7 @@ def _normality_report(lifts, hb):
         name="rees-normal", verdict=True, method=THEOREM_PATH,
         certificate={"hilbert_basis_size": len(hb.elements),
                      "memberships": certificates},
-        search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP})
+        search_bounds={"hb_budget": errors.SEARCH_BUDGET})
 
 
 @dataclass(frozen=True)
@@ -169,13 +167,11 @@ def simis_cone(ideal):
 
 
 def rees_hilbert_basis(ideal):
-    lifts = rees_lift_set(ideal)
-    return hilbert_basis_of(len(lifts[0]), generators=lifts)
+    return hilbert_basis(rees_cone(ideal).cone)
 
 
 def simis_hilbert_basis(ideal):
-    hs = _simis_halfspaces(ideal)
-    return hilbert_basis_of(len(hs[0].normal), halfspaces=hs)
+    return hilbert_basis(simis_cone(ideal).cone)
 
 
 def clique_lift_set(G):
@@ -230,13 +226,13 @@ def ehrhart_equality(ideal):
     x0 = tuple(Fraction(x, total[n]) for x in total[:n])
 
     lifts = [v + (1,) for v in ideal]
-    outside = hilbert_basis_of(n + 1, generators=lifts).first_outside(lifts)
+    outside = hilbert_basis(IntegerCone(n + 1, lifts)).first_outside(lifts)
     verdict = outside is None
     return CheckReport(
         name="ehrhart-equality", verdict=verdict, method=THEOREM_PATH,
         witness=None if verdict else {"hilbert_basis_element": outside},
         certificate={"x0": tuple(str(x) for x in x0)},
-        search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP})
+        search_bounds={"hb_budget": errors.SEARCH_BUDGET})
 
 
 def gorenstein_check(G, scan_bound=None):
@@ -264,7 +260,7 @@ def gorenstein_check(G, scan_bound=None):
     coordinate in closed form.  Any other single point is the first
     interior point that fails to reduce.  The verdict, witness and count
     are those of the point-by-point scan.  The walk raises CapExceededError
-    past GORENSTEIN_WALK_BUDGET nodes.
+    past errors.SEARCH_BUDGET nodes.
     """
     if G.isolated_vertices():
         raise InputError("cover-side operations need a graph without isolated vertices")
@@ -281,7 +277,7 @@ def gorenstein_check(G, scan_bound=None):
             name="gorenstein", verdict=None, method=THEOREM_PATH,
             reason="not unmixed", witness={"cover_sizes": cover_sizes})
     lifts = rees_lift_set(covers)
-    hb = hilbert_basis_of(n + 1, generators=lifts)
+    hb = hilbert_basis(IntegerCone(n + 1, lifts))
     normal = _normality_report(lifts, hb)
     if not normal.verdict:
         return CheckReport(
@@ -309,15 +305,12 @@ def gorenstein_check(G, scan_bound=None):
         for i in range(n - 1, -1, -1):
             t[i] = t[i + 1] + f[i]
         tails.append(t)
-    budget = GORENSTEIN_WALK_BUDGET
+    budget = errors.SEARCH_BUDGET
     nodes = 0
 
     def visit():
         nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise CapExceededError(
-                f"Gorenstein box walk exceeded its budget of {budget} nodes")
+        nodes = spend(nodes, 1, "Gorenstein box walk", "nodes")
 
     def count(i, short):
         """Interior points of the sub-box at depth i, where every facet

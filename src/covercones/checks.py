@@ -13,15 +13,15 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from . import clutters, cones, lp
+from . import errors, lp
 from .blowup import is_rees_normal, rees_lift_set
 from .clutters import (IncidenceMatrix, _exponent, all_cliques,
                        chordless_cycles, cover_ideal, dual_ideal, edge_clutter,
                        Graph, incidence_matrix, is_chordal, complement)
-from .cones import (HRepPolyhedron, Halfspace, IntegerCone, hilbert_basis_of,
+from .cones import (HRepPolyhedron, Halfspace, IntegerCone, hilbert_basis,
                     homogenized_rays, is_integral, make_halfspace, orthant,
                     vertices)
-from .errors import CapExceededError, InputError
+from .errors import InputError, spend
 from .linalg import dot
 from .report import ORACLE, THEOREM_PATH, CheckReport
 
@@ -59,16 +59,15 @@ def perfect_via_rees_cone(G):
     """Perfection through the cover ideal's cone geometry: the graph is
     perfect iff the irreducible facet list of the Rees cone of its cover
     ideal is exactly the clique inequality list.  The facets come from one
-    double description, bounded by cones.DD_BUDGET ray pairs, and the
-    covers and cliques from enumerations bounded by
-    clutters.ENUMERATION_BUDGET nodes."""
+    double description, bounded by errors.SEARCH_BUDGET ray pairs, and the
+    covers and cliques from enumerations bounded by as many nodes."""
     if G.isolated_vertices():
         raise InputError("perfection checks need a graph without isolated vertices")
     lifts = rees_lift_set(cover_ideal(edge_clutter(G)))
     facets = set(IntegerCone(G.n + 1, lifts).facets)
     cliques = set(clique_halfspaces(G))
-    bounds = {"dd_budget": cones.DD_BUDGET,
-              "enumeration_budget": clutters.ENUMERATION_BUDGET}
+    bounds = {"dd_budget": errors.SEARCH_BUDGET,
+              "enumeration_budget": errors.SEARCH_BUDGET}
     if facets == cliques:
         return CheckReport(
             name="perfect-via-cone", verdict=True, method=THEOREM_PATH,
@@ -88,7 +87,7 @@ def perfect_via_odd_holes(G):
     has an induced odd cycle of length five or more.  The induced cycles of G
     and then of its complement are walked up to the first odd one, which is
     the witness; the certificate counts the even ones examined.  Each walk
-    expands at most clutters.CYCLE_SEARCH_BUDGET search nodes."""
+    expands at most errors.SEARCH_BUDGET search nodes."""
     examined = []
     for kind, H in (("odd_hole", G), ("odd_antihole", complement(G))):
         count = 0
@@ -97,13 +96,13 @@ def perfect_via_odd_holes(G):
                 return CheckReport(
                     name="perfect-via-odd-holes", verdict=False,
                     method=THEOREM_PATH, witness={kind: cycle},
-                    search_bounds={"node_budget": clutters.CYCLE_SEARCH_BUDGET})
+                    search_bounds={"node_budget": errors.SEARCH_BUDGET})
             count += 1
         examined.append(count)
     return CheckReport(
         name="perfect-via-odd-holes", verdict=True, method=THEOREM_PATH,
         certificate={"even_holes": examined[0], "even_antiholes": examined[1]},
-        search_bounds={"node_budget": clutters.CYCLE_SEARCH_BUDGET})
+        search_bounds={"node_budget": errors.SEARCH_BUDGET})
 
 
 def perfect_matrix_check(A):
@@ -131,7 +130,7 @@ def tdi_check(A):
     nonneg_entries = all(x >= 0 for col in cols for x in col)
     lifted = [col + (1,) for col in cols]
     lifted += [tuple(-int(i == j) for j in range(n)) + (0,) for i in range(n)]
-    hb = hilbert_basis_of(n + 1, generators=lifted)
+    hb = hilbert_basis(IntegerCone(n + 1, lifted))
     lattice_witness = hb.first_outside(lifted)
     integral = perfect_matrix_check(A)
     both = bool(integral.verdict) and lattice_witness is None
@@ -148,7 +147,7 @@ def tdi_check(A):
         witness=witness,
         certificate={"polytope_integral": integral.verdict,
                      "hilbert_basis_size": len(hb.elements)} if verdict else None,
-        search_bounds={"hb_dim_cap": cones.HILBERT_DIM_CAP},
+        search_bounds={"hb_budget": errors.SEARCH_BUDGET},
         reason=None if verdict is not None
         else "matrix has negative entries; the two conditions are only sufficient")
 
@@ -180,8 +179,8 @@ def tdi_oracle(A):
     Ay >= alpha must have 1.y = L.  Bounded verification; the box is part
     of the report.  A fractional L is a witness at once, and an integral
     one goes to lp.covering_attains.  Each objective and each search node
-    is charged to lp.NODE_BUDGET, which also stops each search on its own,
-    so a run does at most about twice the budget before it raises
+    is charged to errors.SEARCH_BUDGET, which also stops each search on its
+    own, so a run does at most about twice the budget before it raises
     CapExceededError.
     """
     n, cols = _columns_of(A)
@@ -190,15 +189,10 @@ def tdi_oracle(A):
         raise InputError(f"alpha box [-2, {alpha_hi}] holds no objective")
     covering = _covering_minimum(n, cols)
     checked = 0
-    budget = lp.NODE_BUDGET
     spent = 0
-    bounds = {"alpha_box": [-2, alpha_hi], "node_budget": budget}
+    bounds = {"alpha_box": [-2, alpha_hi], "node_budget": errors.SEARCH_BUDGET}
     for alpha in product(range(-2, alpha_hi + 1), repeat=n):
-        spent += 1
-        if spent > budget:
-            raise CapExceededError(
-                f"TDI oracle exceeded its budget of {budget} objectives "
-                "and search nodes")
+        spent = spend(spent, 1, "TDI oracle", "objectives and search nodes")
         lp_value = covering(alpha)
         if lp_value is None:
             continue  # no finite minimum for this alpha
@@ -233,7 +227,7 @@ def balanced_check(A):
             if col[i]:
                 adjacency[i + 1] |= 1 << (n + j)
                 adjacency[n + j + 1] |= 1 << i
-    bounds = {"node_budget": clutters.CYCLE_SEARCH_BUDGET}
+    bounds = {"node_budget": errors.SEARCH_BUDGET}
     for cycle in chordless_cycles(n + q, adjacency, min_len=6):
         if len(cycle) % 4 == 2:
             rows_used = sorted(v for v in cycle if v <= n)
@@ -279,7 +273,9 @@ def mfmc_check(C):
     the packing polytope {x >= 0, xA <= 1} and the covering polyhedron
     {x >= 0, xA >= 1} must be integral.  The integral vertices of the
     covering side are asserted to be exactly the minimal vertex cover
-    vectors."""
+    vectors, enumerated within errors.SEARCH_BUDGET nodes."""
+    if not C.edges:
+        raise InputError("clutter has no edges")
     sizes = {len(e) for e in C.edges}
     if len(sizes) != 1:
         return CheckReport(
@@ -309,7 +305,8 @@ def mfmc_check(C):
     return CheckReport(
         name="mfmc", verdict=verdict, method=THEOREM_PATH, witness=witness,
         certificate={"covering_integral_vertices": sorted(covers)}
-        if verdict else None)
+        if verdict else None,
+        search_bounds={"enumeration_budget": errors.SEARCH_BUDGET})
 
 
 def cm_height_two_normal(pairs):
@@ -317,13 +314,14 @@ def cm_height_two_normal(pairs):
     the edges of a graph G; when the complement of G is chordal the Rees
     algebra of the cover ideal is asserted normal, otherwise the check
     reports not-applicable with the witness cycle.  The chordality search
-    expands at most clutters.CYCLE_SEARCH_BUDGET nodes."""
+    and the cover enumeration each expand at most errors.SEARCH_BUDGET
+    nodes."""
     pairs = [tuple(sorted(p)) for p in pairs]
     if not pairs:
         raise InputError("no pairs given")
     n = max(v for p in pairs for v in p)
     G = Graph(n, pairs)
-    bounds = {"node_budget": clutters.CYCLE_SEARCH_BUDGET}
+    bounds = {"node_budget": errors.SEARCH_BUDGET}
     chordal, cycle = is_chordal(complement(G))
     if not chordal:
         return CheckReport(
@@ -337,7 +335,8 @@ def cm_height_two_normal(pairs):
     return CheckReport(
         name="cm-height-two-normal", verdict=True, method=THEOREM_PATH,
         certificate=normal.certificate,
-        search_bounds={**normal.search_bounds, **bounds})
+        search_bounds={**normal.search_bounds, **bounds,
+                       "enumeration_budget": errors.SEARCH_BUDGET})
 
 
 def dual_balanced_normal(A):

@@ -4,9 +4,10 @@ One command per invocation; input files hold a graph, clutter, matrix or
 ideal (see textio).  Output is a pretty text report by default or a
 versioned machine-readable document with --json.  Exit codes: 0 the command
 completed (whatever the verdict), 1 the verdict differed from --assert,
-2 malformed input, 3 a size cap or search budget was exceeded, 4 an
-internal self-check failed (a theorem path disagreed with an independent
-path or its own invariant).
+2 malformed input, 3 a document named more than textio.MAX_VERTICES
+vertices or a search spent more than errors.SEARCH_BUDGET (no flag sets
+either), 4 an internal self-check failed (a theorem path disagreed with
+an independent path or its own invariant).
 """
 
 import argparse

@@ -14,10 +14,8 @@ cover ideal is the edge ideal of the blocker (minimal vertex covers).
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapExceededError, DegenerateMinorError, InputError
-
-CYCLE_SEARCH_BUDGET = 1_000_000
-ENUMERATION_BUDGET = 1_000_000
+from . import errors
+from .errors import DegenerateMinorError, InputError, spend
 
 
 def _mask_of(vertices):
@@ -43,15 +41,6 @@ def _bits(mask):
         low = mask & -mask
         yield low
         mask ^= low
-
-
-def _charge(spent, cost, what):
-    """spent + cost, or CapExceededError once past ENUMERATION_BUDGET."""
-    spent += cost
-    if spent > ENUMERATION_BUDGET:
-        raise CapExceededError(
-            f"{what} exceeded its budget of {ENUMERATION_BUDGET} nodes")
-    return spent
 
 
 class Graph:
@@ -186,7 +175,7 @@ def maximal_cliques(G):
 
     The pivot choice only affects the search order; the returned set is
     sorted canonically and independent of it.  The search raises
-    CapExceededError past ENUMERATION_BUDGET nodes.
+    CapExceededError past errors.SEARCH_BUDGET nodes.
     """
     if G.n == 0:
         return []
@@ -197,7 +186,7 @@ def maximal_cliques(G):
 
     def expand(r, p, x):
         nonlocal nodes
-        nodes = _charge(nodes, 1, "maximal clique search")
+        nodes = spend(nodes, 1, "maximal clique search", "nodes")
         if not p and not x:
             out.append(r)
             return
@@ -219,7 +208,7 @@ def maximal_cliques(G):
 
 def all_cliques(G):
     """All non-empty cliques, the empty clique excluded.  The search
-    raises CapExceededError past ENUMERATION_BUDGET nodes, one per clique
+    raises CapExceededError past errors.SEARCH_BUDGET nodes, one per clique
     and one for the empty clique."""
     adj = G.adj
     out = []
@@ -227,7 +216,7 @@ def all_cliques(G):
 
     def grow(mask, cand):
         nonlocal nodes
-        nodes = _charge(nodes, 1, "clique enumeration")
+        nodes = spend(nodes, 1, "clique enumeration", "nodes")
         for vb in _bits(cand):
             v = vb.bit_length()
             m = mask | vb
@@ -241,7 +230,7 @@ def all_cliques(G):
 def minimal_vertex_covers(C):
     """All minimal transversals, by Berge's sequential edge expansion.
     Each candidate, and each subset test of its minimality filter, costs
-    one node; past ENUMERATION_BUDGET nodes CapExceededError is raised."""
+    one node; past errors.SEARCH_BUDGET nodes CapExceededError is raised."""
     if not C.edges:
         raise InputError("clutter has no edges")
     partial = [0]
@@ -256,7 +245,8 @@ def minimal_vertex_covers(C):
         grown = sorted(set(grown), key=lambda m: m.bit_count())
         keep = []
         for m in grown:
-            spent = _charge(spent, 1 + len(keep), "minimal cover expansion")
+            spent = spend(spent, 1 + len(keep), "minimal cover expansion",
+                          "nodes")
             if not any(k & m == k for k in keep):
                 keep.append(m)
         partial = keep
@@ -423,9 +413,9 @@ def chordless_cycles(n, adjacency, min_len=4):
     yielded as vertex tuples starting at their smallest vertex, each exactly
     once; the orientation with the smaller second vertex is kept.  The
     search raises CapExceededError once it would expand more than
-    CYCLE_SEARCH_BUDGET nodes (induced paths).
+    errors.SEARCH_BUDGET nodes (induced paths).
     """
-    budget = CYCLE_SEARCH_BUDGET
+    budget = errors.SEARCH_BUDGET
     nodes = 0
     for s in range(1, n + 1):
         sbit = 1 << (s - 1)
@@ -437,8 +427,7 @@ def chordless_cycles(n, adjacency, min_len=4):
         while stack:
             nodes += 1
             if nodes > budget:
-                raise CapExceededError(
-                    f"induced-cycle search exceeded its budget of {budget} nodes")
+                spend(nodes, 0, "induced-cycle search", "nodes")
             path, mask, cand = stack.pop()
             last = path[-1]
             internal = mask & ~sbit & ~(1 << (last - 1))

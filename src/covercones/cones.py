@@ -8,11 +8,12 @@ side for a V-described cone, and on its own halfspaces for an H-described
 one, whose facets are then read off the tight sets of the rays (only a
 lower-dimensional H-described cone runs a second one).  The sparsest
 constraints go first (the coordinate halfspaces lead, which keeps the
-intermediate ray lists small), and past DD_BUDGET ray pairs it raises
-CapExceededError.  The output is canonically sorted, so it never depends
-on that order.  It is the one polyhedral engine: the vertices of an affine
-polyhedron are the rays of its homogenization, and the lattice points of a
-dilated polytope are tested against the facets of the cone over it.
+intermediate ray lists small), and past errors.SEARCH_BUDGET ray pairs it
+raises CapExceededError.  The output is canonically sorted, so it never
+depends on that order.  It is the one polyhedral engine: the vertices of an
+affine polyhedron are the rays of its homogenization, and the lattice
+points of a dilated polytope are tested against the facets of the cone
+over it.
 
 Every cone keeps the values <F, p> of its facets F on its primitive
 generators p, computed once at construction while checking that no
@@ -28,7 +29,9 @@ determinant shows, and one integer diagonal form U S V = D of any other
 piece lists them, whatever its rank), then discard every parallelepiped
 point that splits as a sum of two non-zero lattice points of the cone.  The
 extreme rays are never tested: each one is irreducible.  The result is the
-unique minimal generating set, independent of the triangulation.
+unique minimal generating set, independent of the triangulation.  Each
+stage charges its work to the search budget before doing it, so no
+dimension cap is needed.
 
 semigroup_member, a graded exhaustive search, is an oracle: the theorem
 paths test Hilbert-basis inclusion instead, because an irreducible lattice
@@ -41,17 +44,14 @@ equality of polyhedra, so a single rounding error would flip verdicts.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import ge
 
-from .errors import CapExceededError, InfeasibleError, InputError, \
-    NoGradingError, NotPointedError
+from .errors import InfeasibleError, InputError, NoGradingError, \
+    NotPointedError, spend
 from .linalg import det_int, diagonalize, dot, gcd_vec, primitive, \
     rank_int, sign_normalized, solve_square
 from .report import ORACLE, CheckReport
-
-HILBERT_DIM_CAP = 10
-DD_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -100,8 +100,10 @@ def _dd_pair(dim, normals):
     is rejected untested (Fukuda and Prodon, "Double description method
     revisited", 1996).  Values are summed over each normal's non-zero
     entries only, and a lineality vector the normal vanishes on is kept as
-    it is.  Raises CapExceededError once more than DD_BUDGET ray pairs are
-    tested.
+    it is.  Raises CapExceededError once more than errors.SEARCH_BUDGET
+    ray pairs are tested: each positive/negative pair once, and each pair
+    found adjacent once more for every other ray its test compared it with,
+    so the budget also bounds the adjacency tests that make the new rays.
     """
     normals = sorted({primitive(a) for a in normals if any(a)},
                      key=lambda a: (sum(1 for x in a if x), a))
@@ -146,11 +148,8 @@ def _dd_pair(dim, normals):
             pos = [(vec, m, s) for (vec, m), s in zip(rays, signs) if s > 0]
             zero = [(vec, m) for (vec, m), s in zip(rays, signs) if s == 0]
             neg = [(vec, m, s) for (vec, m), s in zip(rays, signs) if s < 0]
-            pairs += len(pos) * len(neg)
-            if pairs > DD_BUDGET:
-                raise CapExceededError(
-                    f"double description exceeded its budget of {DD_BUDGET} "
-                    "ray pairs")
+            pairs = spend(pairs, len(pos) * len(neg), "double description",
+                          "ray pairs")
             least_tight = dim - len(lineality) - 2
             others = [m for _, m, _ in pos] + [m for _, m in zero] \
                 + [m for _, m, _ in neg]
@@ -166,6 +165,8 @@ def _dd_pair(dim, normals):
                             m != pmask and m != qmask and m & t == t
                             for m in others):
                         continue  # not adjacent
+                    pairs = spend(pairs, len(others), "double description",
+                                  "ray pairs")
                     w = primitive(tuple(ps * qx - qs * px
                                         for px, qx in zip(pvec, qvec)))
                     new_rays.append([w, t | bit])
@@ -406,14 +407,18 @@ def _triangulate(cone):
     face joins its lowest ray (the apex) to the pieces of its facets that
     miss the apex.  Every face pulls from its own lowest ray, so the pieces
     of a shared face agree, and each face is triangulated once.  Every
-    simplicial piece is a tuple of linearly independent rays.
+    simplicial piece is a tuple of linearly independent rays.  Each piece a
+    face builds is charged its ray count before it is built, and past
+    errors.SEARCH_BUDGET simplex rays CapExceededError is raised.
     """
     rays = cone.extreme_rays()
     incidences = {sum(1 << i for i, v in enumerate(column) if not v)
                   for column in zip(*(cone._values[r] for r in rays))}
     memo = {}
+    spent = 0
 
     def pieces(face, dim):
+        nonlocal spent
         if face in memo:
             return memo[face]
         members = [rays[i] for i in range(len(rays)) if face >> i & 1]
@@ -431,35 +436,38 @@ def _triangulate(cone):
                     continue
                 maximal.append(sub)
                 if not sub & apex:
-                    out.extend(simplex + (members[0],)
-                               for simplex in pieces(sub, dim - 1))
+                    joined = pieces(sub, dim - 1)
+                    spent = spend(spent, dim * len(joined), "triangulation",
+                                  "simplex rays")
+                    out.extend(simplex + (members[0],) for simplex in joined)
         memo[face] = out
         return out
 
     return pieces((1 << len(rays)) - 1, rank_int(rays))
 
 
-def _parallelepiped_points(simplex):
-    """Non-zero lattice points of {sum t_j s_j : 0 <= t_j < 1}.
-
-    A square piece with |det| = 1 is unimodular, so its parallelepiped holds
-    no point but the origin; one fraction-free determinant shows it, and on
-    the cones of graphs nearly every piece is of this kind (the |det| gate
-    of Bruns, Ichim and Söger, J. Symb. Comput. 74, 2016).  Every other
-    piece, square or of rank k < d, takes one diagonal form U S V = D.  The
-    cosets of S Z^k among the lattice points of span S are indexed by c in
-    the box prod [0, |d_i|), the coset of c has coordinates t = V D^{-1} c
-    over the columns, and its point in the half-open parallelepiped is
-    S frac(t).  Scaling by order = prod |d_i| keeps everything integral.
+def _coset_form(simplex):
+    """(diag, V, order) of one diagonal form U S V = D of a piece, where
+    order = prod |d_i|, |det| when square, counts the lattice points of its
+    half-open parallelepiped; None for a unimodular piece (order one).
+    Nearly every piece of a graph's cone is square and unimodular, which one
+    fraction-free determinant shows without the diagonal form (the |det|
+    gate of Bruns, Ichim and Söger, J. Symb. Comput. 74, 2016).
     """
     if len(simplex) == len(simplex[0]) and abs(det_int(simplex)) == 1:
-        return []
+        return None
     diag, v = diagonalize(simplex)
-    order = 1
-    for d in diag:
-        order *= abs(d)
-    if order == 1:
-        return []
+    order = prod(map(abs, diag))
+    return None if order == 1 else (diag, v, order)
+
+
+def _parallelepiped_points(simplex, diag, v, order):
+    """Non-zero lattice points of {sum t_j s_j : 0 <= t_j < 1}, from the
+    piece's _coset_form, whatever its rank k.  The cosets of S Z^k
+    in span S are indexed by c in prod [0, |d_i|), the coset of c has
+    coordinates t = V D^{-1} c over the columns, and its point in the
+    parallelepiped is S frac(t), kept integral by scaling with the order.
+    """
     scale = [order // d for d in diag]
     dim = len(simplex[0])
     points = []
@@ -470,7 +478,7 @@ def _parallelepiped_points(simplex):
         t = [dot(row, w) % order for row in v]
         points.append(tuple(sum(tj * s[i] for tj, s in zip(t, simplex))
                             // order for i in range(dim)))
-    return sorted(points)
+    return points
 
 
 @dataclass(frozen=True)
@@ -489,19 +497,6 @@ class HilbertBasis:
         return next((e for e in self.elements if e not in generators), None)
 
 
-def _refuse_past_cap(dim):
-    if dim > HILBERT_DIM_CAP:
-        raise CapExceededError(
-            f"cone capped at dimension {HILBERT_DIM_CAP}, got {dim}")
-
-
-def hilbert_basis_of(dim, generators=None, halfspaces=None):
-    """Hilbert basis of the cone of the given generators or halfspaces,
-    refused past HILBERT_DIM_CAP before the cone is built."""
-    _refuse_past_cap(dim)
-    return hilbert_basis(IntegerCone(dim, generators, halfspaces))
-
-
 def hilbert_basis(cone):
     """Minimal integer generating set of all lattice points of a pointed
     cone.  Independent of the triangulation used internally.
@@ -512,15 +507,24 @@ def hilbert_basis(cone):
     Only the parallelepiped points are tested against the other candidates,
     by facet values: the extreme rays' come with the cone, and each point's
     are computed once.
+
+    Each stage charges errors.SEARCH_BUDGET on its own count before any
+    point is listed: the triangulation its simplex rays, the
+    parallelepipeds their orders, and the reduction its point × candidate
+    pairs, counting a point once for each piece that lists it.
     """
-    _refuse_past_cap(cone.dim)
     rays = cone.extreme_rays()
     if not rays:
         return HilbertBasis(elements=(), cone=cone)
-    points = set()
-    for simplex in _triangulate(cone):
-        points.update(_parallelepiped_points(simplex))
-    points = sorted(points)
+    forms = [(s, f) for s in _triangulate(cone) if (f := _coset_form(s))]
+    spent = 0
+    for _, (_, _, order) in forms:
+        spent = spend(spent, order, "parallelepiped enumeration", "points")
+    listed = spent - len(forms)     # each piece lists all but the origin
+    spend(0, listed * (len(rays) + listed), "Hilbert-basis reduction",
+          "point pairs")
+    points = sorted({p for s, f in forms
+                     for p in _parallelepiped_points(s, *f)})
     normals = [h.normal for h in cone.facets]
     # g - h lies in the cone exactly when every facet value of g is at
     # least that of h

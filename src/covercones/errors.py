@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one search budget."""
+
+SEARCH_BUDGET = 1_000_000
 
 
 class InputError(ValueError):
@@ -6,11 +8,21 @@ class InputError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A size cap or a search budget was exceeded.
+    """A size cap or the search budget was exceeded.
 
-    Inputs above a cap are refused, and a search stops once it has spent
-    its budget of nodes or ray pairs, instead of running unbounded.
+    Inputs above a cap are refused, and every search stops once its own
+    count of work passes SEARCH_BUDGET, instead of running unbounded.
     """
+
+
+def spend(spent, cost, what, unit):
+    """spent + cost, or CapExceededError naming the search and its unit
+    once that passes SEARCH_BUDGET, read at call time."""
+    spent += cost
+    if spent > SEARCH_BUDGET:
+        raise CapExceededError(
+            f"{what} exceeded its budget of {SEARCH_BUDGET} {unit}")
+    return spent
 
 
 class DegenerateMinorError(InputError):

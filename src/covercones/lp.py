@@ -3,9 +3,8 @@ package solves no linear relaxation: the LP values that tdi_oracle compares
 against are read off a double description.
 """
 
-from .errors import CapExceededError
-
-NODE_BUDGET = 500_000
+from . import errors
+from .errors import spend
 
 
 def covering_attains(cols, alpha, total):
@@ -18,19 +17,19 @@ def covering_attains(cols, alpha, total):
     are spent, so no y_j needs a box.  A remainder that fails with k units
     left fails with fewer, so the largest failing k of each remainder is
     remembered.  The walk keeps its own stack, since its depth reaches
-    `total`.  Raises CapExceededError past NODE_BUDGET nodes.
+    `total`.  Raises CapExceededError past errors.SEARCH_BUDGET nodes.
     """
     n = len(alpha)
     positive = [[col for col in cols if col[i] > 0] for i in range(n)]
     failed = {}           # remainder -> the most units it failed with
     stack = []            # (remainder, units left, columns still to try)
     rest, left = tuple(alpha), total
+    budget = errors.SEARCH_BUDGET
     nodes = 0
     while True:
         nodes += 1
-        if nodes > NODE_BUDGET:
-            raise CapExceededError(
-                f"covering search exceeded its budget of {NODE_BUDGET} nodes")
+        if nodes > budget:
+            spend(nodes, 0, "covering search", "nodes")
         short = next((i for i in range(n) if rest[i] > 0), None)
         if short is None:
             return True, nodes

@@ -183,10 +183,13 @@ def all_pairs_basis(cone):
     rays and the parallelepiped points of its triangulation), reduced by
     testing every candidate, extreme rays included: g is dropped when
     g - h lies in the cone, by its facets, for some other candidate h."""
-    from covercones.cones import _parallelepiped_points, _triangulate
+    from covercones.cones import (_coset_form, _parallelepiped_points,
+                                  _triangulate)
     candidates = set(cone.extreme_rays())
     for simplex in _triangulate(cone):
-        candidates.update(_parallelepiped_points(simplex))
+        form = _coset_form(simplex)
+        if form:
+            candidates.update(_parallelepiped_points(simplex, *form))
     return tuple(g for g in sorted(candidates)
                  if not any(h != g and cone.contains(
                      tuple(x - y for x, y in zip(g, h)))

@@ -1,15 +1,16 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from covercones import (CapExceededError, InputError, IntegerCone,
-                        MonomialGenerator, blowup, clique_lift_set,
+                        MonomialGenerator, clique_lift_set, errors,
                         complement, cover_ideal, edge_clutter,
                         ehrhart_equality, gorenstein_check, hilbert_basis,
                         incidence_matrix, is_rees_normal, is_unmixed,
                         lattice_points_dilation, maximal_independent_sets,
-                        rees_cone, rees_hilbert_basis, semigroup_member,
-                        simis_cone, simis_hilbert_basis,
+                        rees_cone, rees_hilbert_basis, rees_lift_set,
+                        semigroup_member, simis_cone, simis_hilbert_basis,
                         symbolic_generators_perfect, tdi_check)
 
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
@@ -268,10 +269,11 @@ def test_gorenstein_walk_finds_deep_witnesses(G, bound):
 
 def test_gorenstein_walk_budget(monkeypatch):
     report = gorenstein_check(complete_bipartite(3, 3))
-    assert report.search_bounds["node_budget"] == \
-        blowup.GORENSTEIN_WALK_BUDGET
-    monkeypatch.setattr(blowup, "GORENSTEIN_WALK_BUDGET", 10)
-    with pytest.raises(CapExceededError, match="budget of 10 nodes"):
+    assert report.search_bounds["node_budget"] == errors.SEARCH_BUDGET
+    # K_{3,3}'s covers take 65 nodes and its cone 100 ray pairs
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 100)
+    with pytest.raises(CapExceededError, match="Gorenstein box walk "
+                       "exceeded its budget of 100 nodes"):
         gorenstein_check(complete_bipartite(3, 3))
 
 
@@ -293,32 +295,46 @@ def test_paw_chain_normality_is_preserved_under_contraction():
     assert is_rees_normal(ideal_G).verdict is True
 
 
-def test_hilbert_basis_cap_refuses_before_a_cone_is_built(monkeypatch):
-    # a cone runs its double description when it is built, and so does the
-    # vertex list of tdi_check's packing polytope, so an input past the
-    # dimension cap must be refused before either
-    def unbuildable(*args, **kwargs):
-        raise AssertionError("double description run past the cap")
-
-    from covercones import cones
-    monkeypatch.setattr(IntegerCone, "__init__", unbuildable)
-    monkeypatch.setattr(cones, "vertices", unbuildable)
+def test_hilbert_bases_past_ten_coordinates_answer_within_the_budget():
+    # no dimension cap: the cones of C10 and C11 have 11 and 12
+    # coordinates, and each Hilbert basis is bounded by its work instead
     C10 = cycle_graph(10)
     covers, edges = cover_ideal(edge_clutter(C10)), edge_ideal(C10)
-    for refused in (lambda: is_rees_normal(covers),
-                    lambda: rees_hilbert_basis(covers),
-                    lambda: simis_hilbert_basis(edges),
-                    lambda: ehrhart_equality(edges),
-                    lambda: tdi_check(incidence_matrix(edge_clutter(C10))),
-                    lambda: gorenstein_check(complete_bipartite(5, 5))):
-        with pytest.raises(CapExceededError):
-            refused()
+    assert is_rees_normal(covers).verdict is True
+    # the Simis basis of a perfect graph is its clique lift set
+    assert set(simis_hilbert_basis(edges).elements) == {
+        m.exponents + (m.t_degree,) for m in clique_lift_set(C10)}
+    assert ehrhart_equality(edges).verdict is True
+    assert tdi_check(incidence_matrix(edge_clutter(C10))).verdict is True
+    assert tdi_check(
+        incidence_matrix(edge_clutter(cycle_graph(11)))).verdict is False
 
 
-def test_hilbert_dim_cap_is_read_at_call_time(monkeypatch):
-    from covercones import cones
-    covers = cover_ideal(edge_clutter(cycle_graph(4)))
-    assert is_rees_normal(covers).search_bounds == {"hb_dim_cap": 10}
-    monkeypatch.setattr(cones, "HILBERT_DIM_CAP", 4)
-    with pytest.raises(CapExceededError, match="dimension 4, got 5"):
+def test_rees_hilbert_basis_of_perfect_graphs_is_the_lift_set():
+    # the partner of the theorem that R[Jt] is normal for a perfect graph:
+    # every lift is irreducible, so normality makes the basis the lift set
+    for G in (cycle_graph(10), cycle_graph(12), complete_bipartite(5, 5)):
+        covers = cover_ideal(edge_clutter(G))
+        assert set(rees_hilbert_basis(covers).elements) == \
+            set(rees_lift_set(covers))
+
+
+def test_large_exponents_stop_at_the_budget_within_a_second():
+    # one piece of the triangulation has |det| = 89,401, so the reduction
+    # would test about 8e9 point pairs; it is refused before any point of
+    # the piece is listed
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="Hilbert-basis reduction "
+                       "exceeded its budget of 1000000 point pairs"):
+        rees_hilbert_basis([(300, 1, 1), (1, 300, 1), (1, 1, 300)])
+    assert time.perf_counter() - start < 1
+
+
+def test_search_budget_is_read_at_call_time(monkeypatch):
+    # C5's cone takes 111 ray pairs and its triangulation 140 simplex rays
+    covers = cover_ideal(edge_clutter(cycle_graph(5)))
+    assert is_rees_normal(covers).search_bounds == {"hb_budget": 1000000}
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 120)
+    with pytest.raises(CapExceededError,
+                       match="triangulation exceeded its budget of 120 "):
         is_rees_normal(covers)

@@ -12,7 +12,7 @@ from covercones import (Clutter, Graph, InputError, IntegerCone,
                         perfect_matrix_check, perfect_via_odd_holes,
                         perfect_via_rees_cone, rees_cone, semigroup_member,
                         tdi_check, tdi_oracle, vertex_clique_matrix)
-from covercones import clutters, cones
+from covercones import errors
 from covercones.checks import _columns_of, _covering_minimum
 from covercones.errors import CapExceededError
 from covercones.lp import covering_attains
@@ -35,9 +35,11 @@ def test_cone_perfection_fixtures(monkeypatch):
                                 clique_halfspaces(complete_graph(4))}
     with pytest.raises(InputError):
         perfect_via_rees_cone(Graph_with_isolated())
-    # the pentagon's facet double description tests 20 ray pairs
-    monkeypatch.setattr(cones, "DD_BUDGET", 10)
-    with pytest.raises(CapExceededError, match="budget of 10 ray pairs"):
+    # the pentagon's covers take 42 nodes and its facet double description
+    # 111 ray pairs
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 50)
+    with pytest.raises(CapExceededError, match="double description "
+                       "exceeded its budget of 50 ray pairs"):
         perfect_via_rees_cone(cycle_graph(5))
 
 
@@ -87,8 +89,7 @@ def test_odd_hole_search_matches_definitional_oracle():
         report = perfect_via_odd_holes(G)
         assert report.verdict == is_perfect_definitional(G).verdict, G
         assert report.verdict == perfect_via_odd_holes(complement(G)).verdict, G
-        assert report.search_bounds == {
-            "node_budget": clutters.CYCLE_SEARCH_BUDGET}
+        assert report.search_bounds == {"node_budget": errors.SEARCH_BUDGET}
         if report.verdict:
             assert set(report.certificate) == {"even_holes", "even_antiholes"}
         else:
@@ -113,8 +114,9 @@ def test_odd_hole_search_fixtures_and_budget(monkeypatch):
                  + [(v, v + 5) for v in range(1, 16)])
     for G in (grid, complete_bipartite(8, 8)):
         assert perfect_via_odd_holes(G).verdict is True
-    monkeypatch.setattr(clutters, "CYCLE_SEARCH_BUDGET", 10)
-    with pytest.raises(CapExceededError, match="budget of 10 nodes"):
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 10)
+    with pytest.raises(CapExceededError, match="induced-cycle search "
+                       "exceeded its budget of 10 nodes"):
         perfect_via_odd_holes(grid)
 
 
@@ -176,11 +178,12 @@ def test_tdi_oracle_fixtures():
 
 
 def test_tdi_oracle_stops_past_its_budget(monkeypatch):
-    from covercones import lp
     A = vertex_clique_matrix(complete_graph(2))
-    assert tdi_oracle(A).search_bounds["node_budget"] == lp.NODE_BUDGET
-    monkeypatch.setattr(lp, "NODE_BUDGET", 3)
-    with pytest.raises(CapExceededError, match="budget of 3 "):
+    assert tdi_oracle(A).search_bounds["node_budget"] == errors.SEARCH_BUDGET
+    # the packing polytope's double description takes 8 ray pairs
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 8)
+    with pytest.raises(CapExceededError, match="TDI oracle exceeded its "
+                       "budget of 8 objectives and search nodes"):
         tdi_oracle(A)
 
 

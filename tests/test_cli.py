@@ -7,7 +7,7 @@ import pytest
 from covercones.cli import main
 from covercones.textio import (ParseError, format_inequality, parse_input,
                                read_labels)
-from covercones import InputError, cones, make_halfspace
+from covercones import InputError, errors, make_halfspace
 
 from oracles import covering_by_scan
 
@@ -160,23 +160,38 @@ def test_check_perfect_past_nine_vertices(write, capsys):
             assert cone["witness"]["non_clique_facets"] == [[1] * 11 + [-6]]
 
 
+def test_check_normal_past_nine_vertices(write, capsys):
+    """No dimension cap: the cover ideals of C10 to C13 and of the perfect
+    K_{5,5} have Rees cones in 11 to 14 coordinates, and each answers."""
+    graphs = {f"c{n}": [(v, v % n + 1) for v in range(1, n + 1)]
+              for n in (10, 12, 11, 13)}
+    graphs["k55"] = [(u, v) for u in range(1, 6) for v in range(6, 11)]
+    for name, edges in graphs.items():
+        path = write(f"{name}.graph", "graph { " + " ".join(
+            f"{u}-{v}" for u, v in edges) + " }\n")
+        code, report = run_json(capsys, ["check-normal", path,
+                                         "--assert", "true"])
+        assert code == 0 and report["primary_verdict"] is True, name
+        assert report["results"][1]["search_bounds"] == {
+            "hb_budget": 1000000}
+
+
 @pytest.mark.parametrize("command", ["rees-cone", "simis-cone",
                                      "check-perfect"])
 def test_cone_commands_exit_3_past_the_dd_budget(write, capsys, monkeypatch,
                                                  command):
-    # the pentagon's cones take 20 or 21 ray pairs per double description
-    monkeypatch.setattr(cones, "DD_BUDGET", 10)
+    # the pentagon's covers take 42 nodes, and its cone 111 ray pairs
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 50)
     assert main([command, write("c5.graph", PENTAGON)]) == 3
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: double description exceeded its budget of 10 ray pairs\n")
+        "error: double description exceeded its budget of 50 ray pairs\n")
     assert captured.out == ""
 
 
 def test_check_perfect_exits_3_past_the_enumeration_budget(write, capsys,
                                                           monkeypatch):
-    from covercones import clutters
-    monkeypatch.setattr(clutters, "ENUMERATION_BUDGET", 5)
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 5)
     assert main(["check-perfect", write("c5.graph", PENTAGON)]) == 3
     captured = capsys.readouterr()
     assert captured.err == (
@@ -229,10 +244,11 @@ def test_exit_codes_for_errors(write, capsys, monkeypatch):
     assert main(["check-perfect", bad]) == 2
     capsys.readouterr()
     c10 = write("c10.graph", "".join(f"{v} {v % 10 + 1}\n" for v in range(1, 11)))
-    monkeypatch.setattr(cones, "DD_BUDGET", 100)     # C10 tests 285 pairs
+    # C10's covers take 630 nodes, and its cone 777 ray pairs
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 700)
     assert main(["check-perfect", c10]) == 3
     assert capsys.readouterr().err == (
-        "error: double description exceeded its budget of 100 ray pairs\n")
+        "error: double description exceeded its budget of 700 ray pairs\n")
     missing_verdict = write("k2.graph", "graph { a-b }\n")
     assert main(["cliques", missing_verdict, "--assert", "true"]) == 2
     capsys.readouterr()
@@ -303,7 +319,7 @@ def test_tdi_oracle_on_a_matrix_with_negative_entries(write, capsys):
     section = report["results"][0]
     assert section["witness"] == {"alpha": [1, -2], "lp_value": "1/2"}
     assert section["search_bounds"] == {"alpha_box": [-2, 3],
-                                        "node_budget": 500000}
+                                        "node_budget": 1000000}
     # no integral y of cost at most 1/2, so only y = 0, covers the witness
     cols = [(2, -1), (-1, 1), (2, -1)]
     assert not covering_by_scan(cols, (1, -2), Fraction(1, 2))
@@ -359,8 +375,16 @@ def test_check_commands_on_matrix_and_clutter(write, capsys):
     c = write("c4.clutter", "clutter { {1,2} {2,3} {3,4} {1,4} }\n")
     code, report = run_json(capsys, ["check-mfmc", c])
     assert code == 0 and report["primary_verdict"] is True
+    assert report["results"][0]["search_bounds"] == {
+        "enumeration_budget": 1000000}
     code, report = run_json(capsys, ["blocker", c])
     assert report["results"][0]["value"] == [["1", "3"], ["2", "4"]]
+
+
+@pytest.mark.parametrize("command", ["check-mfmc", "covers", "blocker"])
+def test_clutter_without_edges_is_bad_input(write, capsys, command):
+    assert main([command, write("empty.clutter", "clutter { }\n")]) == 2
+    assert capsys.readouterr().err == "error: clutter has no edges\n"
 
 
 def test_gorenstein_and_cm2_commands(write, capsys):
@@ -419,18 +443,18 @@ def test_disagreeing_perfection_paths_exit_4_with_both_reports(
 
 
 def test_cm2_normal_records_its_cycle_budget(write, capsys, monkeypatch):
-    from covercones import clutters
     bounds = {"node_budget": 1000000}
     star = write("star.graph", "graph { 1-2 1-3 1-4 1-5 1-6 1-7 }\n")
     code, report = run_json(capsys, ["check-cm2-normal", star])
     assert code == 0 and report["primary_verdict"] is True
-    assert report["results"][0]["search_bounds"] == {"hb_dim_cap": 10, **bounds}
+    assert report["results"][0]["search_bounds"] == {
+        "hb_budget": 1000000, "enumeration_budget": 1000000, **bounds}
     two_edges = write("2k2.graph", "graph { a-b c-d }\n")
     code, report = run_json(capsys, ["check-cm2-normal", two_edges])
     assert code == 0 and report["primary_verdict"] is None
     assert report["results"][0]["search_bounds"] == bounds
     # the chordality search of the star's complement, K6, expands 15 nodes
-    monkeypatch.setattr(clutters, "CYCLE_SEARCH_BUDGET", 10)
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 10)
     assert main(["check-cm2-normal", star]) == 3
     assert capsys.readouterr().err == (
         "error: induced-cycle search exceeded its budget of 10 nodes\n")

@@ -212,16 +212,19 @@ def test_chromatic_and_clique_numbers():
 
 
 def test_enumerations_stop_past_their_budget(monkeypatch):
-    from covercones import clutters
+    from covercones import errors
     K6 = complete_graph(6)
     matching = Graph(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
-    enumerations = (lambda: all_cliques(K6),
-                    lambda: maximal_cliques(complement(matching)),
-                    lambda: minimal_vertex_covers(edge_clutter(matching)))
-    assert [len(run()) for run in enumerations] == [63, 16, 16]
-    monkeypatch.setattr(clutters, "ENUMERATION_BUDGET", 20)
-    for run in enumerations:
-        with pytest.raises(CapExceededError, match="budget of 20 nodes"):
+    enumerations = {"clique enumeration": lambda: all_cliques(K6),
+                    "maximal clique search":
+                        lambda: maximal_cliques(complement(matching)),
+                    "minimal cover expansion":
+                        lambda: minimal_vertex_covers(edge_clutter(matching))}
+    assert [len(run()) for run in enumerations.values()] == [63, 16, 16]
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 20)
+    for what, run in enumerations.items():
+        with pytest.raises(CapExceededError,
+                           match=f"{what} exceeded its budget of 20 nodes"):
             run()
 
 

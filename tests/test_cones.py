@@ -81,13 +81,31 @@ def test_hilbert_basis_examples():
         (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 2))
 
 
-def test_hilbert_basis_requires_pointed_and_capped():
+def test_hilbert_basis_requires_pointed_and_stops_past_its_budget(
+        monkeypatch):
     half_plane = IntegerCone(2, halfspaces=[make_halfspace((1, 0))])
     with pytest.raises(NotPointedError):
         hilbert_basis(half_plane)
-    big = IntegerCone(11, [unit(11, i) for i in range(11)])
-    with pytest.raises(CapExceededError):
-        hilbert_basis(big)
+    orthant = IntegerCone(11, [unit(11, i) for i in range(11)])
+    assert hilbert_basis(orthant).elements == tuple(sorted(orthant.generators))
+    # each stage keeps its own count: C5's Simis cone triangulates into
+    # 208 simplex rays, and the wedge is one piece of order 5 whose 4
+    # points meet 6 candidates in the reduction, 24 pairs
+    from covercones import errors, simis_cone
+    c5 = simis_cone([(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0),
+                     (0, 0, 0, 1, 1), (1, 0, 0, 0, 1)]).cone
+    wedge = IntegerCone(2, [(1, 0), (1, 5)])
+    for cone, budget, message in (
+            (c5, 207, "triangulation exceeded its budget of 207 simplex rays"),
+            (wedge, 4, "parallelepiped enumeration exceeded its budget of 4 "
+                       "points"),
+            (wedge, 23, "Hilbert-basis reduction exceeded its budget of 23 "
+                        "point pairs")):
+        monkeypatch.setattr(errors, "SEARCH_BUDGET", budget)
+        with pytest.raises(CapExceededError, match=message):
+            hilbert_basis(cone)
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", 24)
+    assert hilbert_basis(wedge).elements == tuple((1, i) for i in range(6))
 
 
 def _random_orthant_cones(count=40, seed=20260811):
@@ -180,7 +198,7 @@ def test_triangulation_of_cycle_cones():
 
 def test_parallelepiped_points_match_box_scan():
     from itertools import product
-    from covercones.cones import _parallelepiped_points
+    from covercones.cones import _coset_form, _parallelepiped_points
     from covercones.linalg import diagonalize
     rng = random.Random(42)
     trials = {True: 0, False: 0}   # full rank, lower rank
@@ -195,7 +213,8 @@ def test_parallelepiped_points_match_box_scan():
         if det == 0 or trials[k == d] == 40:
             continue
         trials[k == d] += 1
-        got = set(_parallelepiped_points(tuple(S)))
+        form = _coset_form(tuple(S))
+        got = set(_parallelepiped_points(tuple(S), *form) if form else ())
         lo = [sum(min(0, s[i]) for s in S) for i in range(d)]
         hi = [sum(max(0, s[i]) for s in S) for i in range(d)]
         expected = set()
@@ -207,6 +226,8 @@ def test_parallelepiped_points_match_box_scan():
                 expected.add(z)
         assert got == expected
         assert len(got) == abs(det) - 1
+        # the order charged to the search budget is |det|
+        assert (form[2] if form else 1) == abs(det)
 
 
 def test_det_int_matches_fraction_elimination():
@@ -280,7 +301,7 @@ def test_facet_self_check_runs_once_and_fires(monkeypatch, tmp_path, capsys):
 
 def test_parallelepiped_points_empty_on_unimodular_simplices():
     # products of elementary matrices: the |det| gate answers alone
-    from covercones.cones import _parallelepiped_points
+    from covercones.cones import _coset_form
     from covercones.linalg import det_int, diagonalize
     rng = random.Random(11)
     for trial in range(200):
@@ -296,7 +317,7 @@ def test_parallelepiped_points_empty_on_unimodular_simplices():
         diag, _ = diagonalize(S)
         assert [abs(x) for x in diag] == [1] * d
         assert abs(det_int(S)) == 1
-        assert _parallelepiped_points(S) == []
+        assert _coset_form(S) is None
 
 
 def test_lattice_points_decompose_over_the_basis():

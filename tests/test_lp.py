@@ -96,13 +96,13 @@ def test_covering_search_examples():
 
 
 def test_covering_search_stops_past_its_node_budget(monkeypatch):
-    from covercones import lp
+    from covercones import errors
     cols = [(1,)] * 5
     found, nodes = covering_attains(cols, (3,), 3)
     assert found and nodes > 1
-    monkeypatch.setattr(lp, "NODE_BUDGET", nodes - 1)
-    with pytest.raises(CapExceededError,
-                       match=f"budget of {nodes - 1} nodes"):
+    monkeypatch.setattr(errors, "SEARCH_BUDGET", nodes - 1)
+    with pytest.raises(CapExceededError, match="covering search exceeded "
+                       f"its budget of {nodes - 1} nodes"):
         covering_attains(cols, (3,), 3)
 
 
