@@ -17,21 +17,26 @@ over it.
 
 Every cone keeps the values <F, p> of its facets F on its primitive
 generators p, computed once at construction while checking that no
-generator violates a facet; the extreme rays, the triangulation and the
-Hilbert-basis reduction read them instead of computing them again.
+generator violates a facet; the extreme rays, pointedness, the
+triangulation and the Hilbert-basis reduction read them instead of
+computing them again.
 
 Hilbert bases are computed the classical way: triangulate the cone (a
 pulling triangulation read off the cone's own ray/facet incidences, so no
 face runs a double description), collect the lattice points of each
 simplicial piece's half-open fundamental parallelepiped (these generate the
-semigroup of all lattice points; a unimodular piece has none, which its
-determinant shows, and one integer diagonal form U S V = D of any other
-piece lists them, whatever its rank), then discard every parallelepiped
-point that splits as a sum of two non-zero lattice points of the cone.  The
-extreme rays are never tested: each one is irreducible.  The result is the
-unique minimal generating set, independent of the triangulation.  Each
-stage charges its work to the search budget before doing it, so no
-dimension cap is needed.
+semigroup of all lattice points), then discard every parallelepiped point
+that splits as a sum of two non-zero lattice points of the cone.  Each
+piece comes with a multiple of its lattice volume, carried down the
+triangulation as products of lattice heights read off the value matrix: a
+piece whose bound is one is unimodular and has no points, and one integer
+diagonal form U S V = D of any other piece lists them, whatever its rank.
+No determinant or rank is computed on the way: a cone is pointed when
+no generator vanishes on every facet, and its rank is d less the number of
+its opposite facet pairs.  The extreme rays are never tested: each one is
+irreducible.  The result is the unique minimal generating set, independent
+of the triangulation.  Each stage charges its work to the search budget
+before doing it, so no dimension cap is needed.
 
 semigroup_member, a graded exhaustive search, is an oracle: the theorem
 paths test Hilbert-basis inclusion instead, because an irreducible lattice
@@ -49,8 +54,8 @@ from operator import ge
 
 from .errors import InfeasibleError, InputError, NoGradingError, \
     NotPointedError, spend
-from .linalg import det_int, diagonalize, dot, gcd_vec, primitive, \
-    rank_int, sign_normalized, solve_square
+from .linalg import diagonalize, dot, gcd_vec, primitive, sign_normalized, \
+    solve_square
 from .report import ORACLE, CheckReport
 
 
@@ -269,8 +274,9 @@ class IntegerCone:
     Construction ends by computing the value matrix of _facet_values, and
     that is the one check that every generator satisfies every facet, on
     both paths (AssertionError otherwise).  The extreme rays take their
-    tight sets from it, the triangulation its incidences, and the Hilbert
-    basis the values of the extreme rays.
+    tight sets from it, is_pointed its zero rows, the triangulation its
+    incidences and lattice heights, and the Hilbert basis the values of
+    the extreme rays.
     """
 
     def __init__(self, dim, generators=None, halfspaces=None):
@@ -331,7 +337,19 @@ class IntegerCone:
         return self._extreme
 
     def is_pointed(self):
-        return rank_int([h.normal for h in self.facets]) == self.dim
+        """Whether the lineality space is zero.  That space is the face
+        where every facet vanishes, and a face is spanned by the generators
+        it contains, so it is zero exactly when no generator has an all-zero
+        row in the value matrix."""
+        return all(map(any, self._values.values()))
+
+    def rank(self):
+        """Dimension of the linear span: d less the number of opposite
+        facet pairs, which cut out the span of a lower-dimensional cone, one
+        pair per direction of the polar lineality space."""
+        normals = {h.normal for h in self._facets}
+        return self.dim - sum(tuple(-x for x in a) in normals
+                              for a in normals) // 2
 
     def contains(self, point):
         if len(point) != self.dim:
@@ -397,23 +415,36 @@ def extreme_rays_of_halfspaces_or_lineality(dim, halfspaces):
 # triangulation and Hilbert bases
 
 def _triangulate(cone):
-    """Pulling triangulation of a pointed cone from its own face lattice.
+    """Pulling triangulation of a pointed cone from its own face lattice, as
+    (simplex, bound) pairs: bound is a positive multiple of the piece's
+    lattice volume, the index of the lattice its rays span in Z^d ∩ span S
+    (|det| when the piece is square).
 
     A face is a bitmask over the sorted extreme rays; the cone's facets give
-    one incidence mask each, the zeros of a column of the value matrix.  The facets of a face S are the inclusion-
-    maximal sets S & F over the cone facets F that do not contain S, and a
-    face is simplicial when its ray count equals its dimension, which starts
-    at the rank of the rays and drops by one per level.  A non-simplicial
-    face joins its lowest ray (the apex) to the pieces of its facets that
-    miss the apex.  Every face pulls from its own lowest ray, so the pieces
-    of a shared face agree, and each face is triangulated once.  Every
-    simplicial piece is a tuple of linearly independent rays.  Each piece a
-    face builds is charged its ray count before it is built, and past
-    errors.SEARCH_BUDGET simplex rays CapExceededError is raised.
+    one incidence mask each, the zeros of a column of the value matrix.  The
+    facets of a face S are the inclusion-maximal sets S & F over the cone
+    facets F that do not contain S; each has at least dim S - 1 rays, where
+    the dimension starts at the rank of the cone and drops by one per level.
+    A face joins its lowest ray a (the apex) to the pieces of its facets
+    that miss the apex, down to single rays.  Every face pulls from its own
+    lowest ray, so the pieces of a shared face agree, and each face is
+    triangulated once.  Each piece a non-simplicial face builds is charged
+    its ray count before it is built, and past errors.SEARCH_BUDGET simplex
+    rays CapExceededError is raised.
+
+    The volumes come down with the pieces, as in Normaliz (Bruns, Ichim and
+    Söger, J. Symb. Comput. 74, 2016).  A single primitive ray has volume 1.
+    Joining a to a piece of a facet G multiplies its volume by the lattice
+    height of a over G inside Z^d ∩ span S, and that height divides <F, a>
+    for every cone facet F with S & F = G: F restricted to that lattice is
+    an integer multiple of the primitive functional that vanishes on G.
+    So the bound takes the least such <F, a> at each join, read off the
+    value matrix.
     """
     rays = cone.extreme_rays()
-    incidences = {sum(1 << i for i, v in enumerate(column) if not v)
-                  for column in zip(*(cone._values[r] for r in rays))}
+    values = [cone._values[r] for r in rays]
+    incidences = [sum(1 << i for i, v in enumerate(column) if not v)
+                  for column in zip(*values)]
     memo = {}
     spent = 0
 
@@ -421,17 +452,27 @@ def _triangulate(cone):
         nonlocal spent
         if face in memo:
             return memo[face]
-        members = [rays[i] for i in range(len(rays)) if face >> i & 1]
-        if len(members) == dim:
-            out = [tuple(members)]
+        apex = face & -face
+        a = apex.bit_length() - 1
+        if dim <= 1:        # one primitive ray, or none in the zero cone
+            out = [(rays[a:a + 1], 1)]
+        elif face.bit_count() == dim:   # simplicial: one facet misses a
+            sub = face ^ apex
+            (simplex, bound), = pieces(sub, dim - 1)
+            height = min(h for m, h in zip(incidences, values[a])
+                         if face & m == sub)
+            out = [((rays[a],) + simplex, height * bound)]
         else:
-            apex = face & -face
-            # largest first, so a set is maximal unless a kept one covers it
-            below = sorted({face & m for m in incidences if face & m != face},
-                           key=lambda sub: -sub.bit_count())
+            heights = {}    # facet candidates, with their least <F, a>
+            for m, h in zip(incidences, values[a]):
+                sub = face & m
+                if sub != face and sub.bit_count() >= dim - 1 \
+                        and heights.get(sub, h) >= h:
+                    heights[sub] = h
             out = []
             maximal = []
-            for sub in below:
+            # largest first, so a set is maximal unless a kept one covers it
+            for sub in sorted(heights, key=int.bit_count, reverse=True):
                 if any(sub & big == sub for big in maximal):
                     continue
                 maximal.append(sub)
@@ -439,23 +480,21 @@ def _triangulate(cone):
                     joined = pieces(sub, dim - 1)
                     spent = spend(spent, dim * len(joined), "triangulation",
                                   "simplex rays")
-                    out.extend(simplex + (members[0],) for simplex in joined)
+                    out.extend((simplex + (rays[a],), heights[sub] * bound)
+                               for simplex, bound in joined)
         memo[face] = out
         return out
 
-    return pieces((1 << len(rays)) - 1, rank_int(rays))
+    return pieces((1 << len(rays)) - 1, cone.rank())
 
 
 def _coset_form(simplex):
     """(diag, V, order) of one diagonal form U S V = D of a piece, where
     order = prod |d_i|, |det| when square, counts the lattice points of its
     half-open parallelepiped; None for a unimodular piece (order one).
-    Nearly every piece of a graph's cone is square and unimodular, which one
-    fraction-free determinant shows without the diagonal form (the |det|
-    gate of Bruns, Ichim and Söger, J. Symb. Comput. 74, 2016).
+    hilbert_basis asks only about the pieces whose volume bound from
+    _triangulate is above one, which are few in a graph's cone.
     """
-    if len(simplex) == len(simplex[0]) and abs(det_int(simplex)) == 1:
-        return None
     diag, v = diagonalize(simplex)
     order = prod(map(abs, diag))
     return None if order == 1 else (diag, v, order)
@@ -506,7 +545,8 @@ def hilbert_basis(cone):
     lie on it too, and primitivity leaves no room for two non-zero ones.
     Only the parallelepiped points are tested against the other candidates,
     by facet values: the extreme rays' come with the cone, and each point's
-    are computed once.
+    are computed once.  Only the pieces whose volume bound from _triangulate
+    is above one take a diagonal form; the others are unimodular.
 
     Each stage charges errors.SEARCH_BUDGET on its own count before any
     point is listed: the triangulation its simplex rays, the
@@ -516,7 +556,8 @@ def hilbert_basis(cone):
     rays = cone.extreme_rays()
     if not rays:
         return HilbertBasis(elements=(), cone=cone)
-    forms = [(s, f) for s in _triangulate(cone) if (f := _coset_form(s))]
+    forms = [(s, f) for s, bound in _triangulate(cone)
+             if bound > 1 and (f := _coset_form(s))]
     spent = 0
     for _, (_, _, order) in forms:
         spent = spend(spent, order, "parallelepiped enumeration", "points")

@@ -39,33 +39,6 @@ def sign_normalized(v):
     return tuple(v)
 
 
-def rank_int(vectors):
-    """Rank over Q of a family of integer vectors (fraction-free elimination)."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            x = rows[i][col]
-            if x:
-                rows[i] = [lead * a - x * b for a, b in zip(rows[i], rows[rank])]
-                g = gcd_vec(rows[i])
-                if g > 1:
-                    rows[i] = [a // g for a in rows[i]]
-        rank += 1
-        col += 1
-    return rank
-
-
 def solve_square(rows, rhs):
     """Solve a square linear system exactly.  Returns a Fraction tuple or
     None when the matrix is singular."""
@@ -83,36 +56,6 @@ def solve_square(rows, rhs):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return tuple(a[i][n] for i in range(n))
-
-
-def det_int(rows):
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, and every entry is a minor of
-    the input, so the integers stay as small as the minors.  Step k updates
-    only the columns after the pivot, which are all that later steps read.
-    A row that is zero in the pivot column is only rescaled by lead / prev,
-    and left as it is when the two are equal."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        lead = m[k][k]
-        tail = m[k][k + 1:]
-        for row in m[k + 1:]:
-            x = row[k]
-            if x:
-                row[k + 1:] = [(lead * a - x * b) // prev
-                               for a, b in zip(row[k + 1:], tail)]
-            elif lead != prev:
-                row[k + 1:] = [lead * a // prev for a in row[k + 1:]]
-        prev = lead
-    return sign * m[-1][-1]
 
 
 def diagonalize(columns):

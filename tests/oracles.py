@@ -3,10 +3,12 @@
 Everything here decides by definition: subset scans for cliques, covers and
 colourings, perfection as chromatic = clique number on every induced
 subgraph, lattice scans plus exact LP membership for cone questions,
-basic solutions for the vertices of a polyhedron, the tight rank for
-extreme rays and facets, Fraction elimination for coordinates over a
-simplex and for determinants, and Gram-Schmidt for the facet normals of
-a lower-dimensional cone.  The LP questions go to the exact simplex of
+basic solutions for the vertices of a polyhedron, the tight rank (by
+fraction-free elimination, rank_int) for extreme rays, facets,
+pointedness and the rank of a cone, Fraction elimination for coordinates
+over a simplex, determinants both fraction-free (Bareiss, det_int) and by
+Fraction elimination, and Gram-Schmidt for the facet normals of a
+lower-dimensional cone.  The LP questions go to the exact simplex of
 simplex.py, which lives only on the test side: the package itself reads
 every LP value off a double description.  None of it shares code paths
 with the double description or triangulation it cross-checks, except three
@@ -24,7 +26,7 @@ from covercones import (CapExceededError, CheckReport, InfeasibleError,
                         IntegerCone, cover_ideal, edge_clutter,
                         make_halfspace, maximal_cliques, rees_cone)
 from covercones.cones import _dd_pair
-from covercones.linalg import dot, primitive, rank_int, sign_normalized
+from covercones.linalg import dot, gcd_vec, primitive, sign_normalized
 from covercones.report import ORACLE
 
 from simplex import EQ, GE, LE, OPTIMAL, LinearProgram, make_lp, solve
@@ -180,13 +182,14 @@ def brute_hilbert_basis(generators, box_hi=6):
 
 def all_pairs_basis(cone):
     """The Hilbert basis from the package's own candidates (the extreme
-    rays and the parallelepiped points of its triangulation), reduced by
-    testing every candidate, extreme rays included: g is dropped when
-    g - h lies in the cone, by its facets, for some other candidate h."""
+    rays and the parallelepiped points of its triangulation, each piece
+    diagonalized whatever its volume bound), reduced by testing every
+    candidate, extreme rays included: g is dropped when g - h lies in the
+    cone, by its facets, for some other candidate h."""
     from covercones.cones import (_coset_form, _parallelepiped_points,
                                   _triangulate)
     candidates = set(cone.extreme_rays())
-    for simplex in _triangulate(cone):
+    for simplex, _ in _triangulate(cone):
         form = _coset_form(simplex)
         if form:
             candidates.update(_parallelepiped_points(simplex, *form))
@@ -230,6 +233,63 @@ def solve_columns(columns, target):
     if any(a[i][k] for i in range(row, d)):
         return None
     return tuple(a[r][k] for r in pivots)
+
+
+def rank_int(vectors):
+    """Rank over Q of a family of integer vectors (fraction-free elimination)."""
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(rows):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            x = rows[i][col]
+            if x:
+                rows[i] = [lead * a - x * b for a, b in zip(rows[i], rows[rank])]
+                g = gcd_vec(rows[i])
+                if g > 1:
+                    rows[i] = [a // g for a in rows[i]]
+        rank += 1
+        col += 1
+    return rank
+
+
+def det_int(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, and every entry is a minor of
+    the input, so the integers stay as small as the minors.  Step k updates
+    only the columns after the pivot, which are all that later steps read.
+    A row that is zero in the pivot column is only rescaled by lead / prev,
+    and left as it is when the two are equal."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        lead = m[k][k]
+        tail = m[k][k + 1:]
+        for row in m[k + 1:]:
+            x = row[k]
+            if x:
+                row[k + 1:] = [(lead * a - x * b) // prev
+                               for a, b in zip(row[k + 1:], tail)]
+            elif lead != prev:
+                row[k + 1:] = [lead * a // prev for a in row[k + 1:]]
+        prev = lead
+    return sign * m[-1][-1]
 
 
 def fraction_det(rows):

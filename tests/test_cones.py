@@ -16,10 +16,11 @@ from covercones.linalg import dot
 
 from corpus import cycle_graph, sampled_graph, small_graph_corpus
 from oracles import (all_pairs_basis, brute_hilbert_basis, brute_lattice_points_dilation,
-                     brute_vertices, cone_membership_lp, feasible,
+                     brute_vertices, cone_membership_lp, det_int, feasible,
                      fraction_det, gram_schmidt_facets,
                      irredundancy_witnesses, rank_filtered_extreme_rays,
-                     rank_filtered_facets, recession_rays, solve_columns)
+                     rank_filtered_facets, rank_int, recession_rays,
+                     solve_columns)
 from simplex import GE, make_lp
 
 
@@ -172,7 +173,6 @@ def _grading_volume(pieces):
 def test_triangulation_of_cycle_cones():
     from covercones import rees_cone, simis_cone
     from covercones.cones import _triangulate
-    from covercones.linalg import rank_int
     expected = {5: (16, 11), 7: (40, 29), 9: (95, 80)}
     for k, counts in expected.items():
         G = cycle_graph(k)
@@ -182,7 +182,7 @@ def test_triangulation_of_cycle_cones():
                  rees_cone(cover_ideal(edge_clutter(G))).cone)
         for cone, count in zip(cones, counts):
             rays = cone.extreme_rays()
-            pieces = _triangulate(cone)
+            pieces = [S for S, _ in _triangulate(cone)]
             assert len(pieces) == count, (k, cone)
             for S in pieces:
                 assert len(S) == cone.dim == rank_int(S)
@@ -190,10 +190,109 @@ def test_triangulation_of_cycle_cones():
             # the reversed copy pulls from another apex, so its
             # triangulation differs but covers the same volume
             flipped = IntegerCone(cone.dim, [r[::-1] for r in rays])
-            others = _triangulate(flipped)
+            others = [S for S, _ in _triangulate(flipped)]
             assert {frozenset(S) for S in pieces} != \
                 {frozenset(s[::-1] for s in S) for S in others}
             assert _grading_volume(pieces) == _grading_volume(others)
+
+
+def _sublattice_generators(rng, dim, rank):
+    """`rank` random vectors of {-3..3}^dim, and 1..dim+2 random
+    non-negative combinations of them (coefficients 0..2), zero dropped."""
+    basis = [tuple(rng.randint(-3, 3) for _ in range(dim))
+             for _ in range(rank)]
+    gens = [tuple(sum(c * b[i] for c, b in zip(coef, basis))
+                  for i in range(dim))
+            for coef in ([rng.randint(0, 2) for _ in basis]
+                         for _ in range(rng.randint(1, dim + 2)))]
+    return basis, [g for g in gens if any(g)]
+
+
+def _lower_dimensional_cones(count=60, seed=20261021):
+    """Pointed V-described cones of rank 1..d-1 in d = 3..5 coordinates,
+    generated inside the span of independent random vectors: their lattices
+    are rarely saturated, so volumes above 1 come."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        dim = rng.randint(3, 5)
+        basis, gens = _sublattice_generators(rng, dim, rng.randint(1, dim - 1))
+        if gens and rank_int(basis) == len(basis):
+            cones.append(IntegerCone(dim, gens))
+    return cones
+
+
+def test_triangulation_volume_bounds_are_multiples_of_the_volume():
+    # each piece carries a positive multiple of its lattice volume: of
+    # |det| (fraction-free, on the oracle side) for a square piece, of the
+    # order of its diagonal form for a lower-dimensional one
+    from math import prod
+    from covercones import rees_cone, simis_cone
+    from covercones.cones import _triangulate
+    from covercones.linalg import diagonalize
+    cones = _random_orthant_cones() + _lower_dimensional_cones()
+    for G in small_graph_corpus():
+        edge_ideal = [tuple(int(v in e) for v in range(1, G.n + 1))
+                      for e in G.edges]
+        cones.append(simis_cone(edge_ideal).cone)
+        cones.append(rees_cone(cover_ideal(edge_clutter(G))).cone)
+    seen = dict.fromkeys(("square", "lower", "bound above 1"), 0)
+    for cone in cones:
+        rank = rank_int(cone.generators)
+        for S, bound in _triangulate(cone):
+            assert len(S) == rank == rank_int(S)
+            if len(S) == cone.dim:
+                volume = abs(det_int(S))
+                seen["square"] += 1
+            else:
+                volume = prod(abs(x) for x in diagonalize(S)[0])
+                seen["lower"] += 1
+            assert volume > 0 and bound > 0 and bound % volume == 0, \
+                (cone.generators, S, bound, volume)
+            seen["bound above 1"] += bound > 1
+    assert min(seen.values()) >= 1, seen
+
+
+def test_pointedness_and_rank_match_facet_and_ray_ranks():
+    # is_pointed reads the value matrix and rank() counts opposite facet
+    # pairs; the oracle ranks the facet normals, generators and rays
+    rng = random.Random(20261022)
+    kinds = {}
+    for trial in range(600):
+        dim = rng.randint(2, 5)
+        if trial % 2:
+            # V-described, in a random sublattice; a negated generator
+            # puts a line in the cone
+            _, gens = _sublattice_generators(rng, dim, rng.randint(1, dim))
+            if not gens:
+                continue
+            if rng.random() < 0.4:
+                gens.append(tuple(-x for x in rng.choice(gens)))
+            cone = IntegerCone(dim, gens)
+        else:
+            # H-described: too few normals leave a line, an opposite pair
+            # cuts the span down
+            normals = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                       for _ in range(rng.randint(1, dim + 3))]
+            normals = [a for a in normals if any(a)]
+            if not normals:
+                continue
+            if rng.random() < 0.4:
+                normals.append(tuple(-x for x in rng.choice(normals)))
+            cone = IntegerCone(dim, halfspaces=normals)
+        pointed = rank_int([h.normal for h in cone.facets]) == dim
+        assert cone.is_pointed() == pointed, cone.generators
+        assert cone.rank() == rank_int(cone.generators), cone.generators
+        if pointed:
+            assert cone.rank() == rank_int(cone.extreme_rays())
+        kind = (trial % 2, pointed, cone.rank() == dim)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert len(kinds) == 8 and min(kinds.values()) >= 10, kinds
+    # the zero cone is pointed, of rank 0; all of R^2 is neither
+    zero = IntegerCone(2, halfspaces=[(1, 0), (-1, 0), (0, 1), (0, -1)])
+    assert zero.is_pointed() and zero.rank() == 0
+    plane = IntegerCone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    assert not plane.is_pointed() and plane.rank() == 2 and not plane.facets
 
 
 def test_parallelepiped_points_match_box_scan():
@@ -231,7 +330,6 @@ def test_parallelepiped_points_match_box_scan():
 
 
 def test_det_int_matches_fraction_elimination():
-    from covercones.linalg import det_int
     rng = random.Random(8)
     singular = 0
     for trial in range(400):
@@ -300,9 +398,9 @@ def test_facet_self_check_runs_once_and_fires(monkeypatch, tmp_path, capsys):
 
 
 def test_parallelepiped_points_empty_on_unimodular_simplices():
-    # products of elementary matrices: the |det| gate answers alone
+    # products of elementary matrices: the diagonal form has order one
     from covercones.cones import _coset_form
-    from covercones.linalg import det_int, diagonalize
+    from covercones.linalg import diagonalize
     rng = random.Random(11)
     for trial in range(200):
         d = trial % 7 + 2
