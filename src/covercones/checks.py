@@ -1,31 +1,23 @@
-"""Theorem-level decision procedures with definitional oracle partners.
+"""Theorem-level decision procedures.
 
 Each check here rides a characterization (clique facets, polytope
-integrality, Hilbert-basis conditions, the strong perfect graph theorem) and
-reports `method: theorem-path`; each has an oracle partner that decides the
-same property by exhaustive search, or by a search for an integral point
-that attains each LP value, and reports `method: oracle`.  The test suite
-runs both on small inputs and treats any disagreement as a failure, which
-is the point of the package.
+integrality, Hilbert-basis conditions, the strong perfect graph theorem,
+induced cycles) and reports `method: theorem-path`.  Their definitional
+oracle partners, which decide the same property by exhaustive search or by
+a search for an integral point that attains each LP value, live in
+tests/oracles.py; the test suite runs both on small inputs and treats any
+disagreement as a failure.
 """
 
-from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
-
-from . import errors, lp
+from . import errors
 from .blowup import is_rees_normal, rees_lift_set
 from .clutters import (IncidenceMatrix, _exponent, all_cliques,
                        chordless_cycles, cover_ideal, dual_ideal, edge_clutter,
                        Graph, incidence_matrix, is_chordal, complement)
 from .cones import (HRepPolyhedron, Halfspace, IntegerCone, hilbert_basis,
-                    homogenized_rays, is_integral, make_halfspace, orthant,
-                    vertices)
-from .errors import InputError, spend
-from .linalg import dot
-from .report import ORACLE, THEOREM_PATH, CheckReport
-
-BALANCED_ORACLE_ORDER_CAP = 7
+                    is_integral, make_halfspace, orthant, vertices)
+from .errors import InputError
+from .report import THEOREM_PATH, CheckReport
 
 
 def _packing_polytope(n, cols):
@@ -152,71 +144,13 @@ def tdi_check(A):
         else "matrix has negative entries; the two conditions are only sufficient")
 
 
-def _covering_minimum(n, cols):
-    """alpha -> min{1.y : Ay >= alpha, y >= 0}, or None where infeasible.
-    By LP duality this is max{<alpha, x> : x >= 0, xA <= 1}: the largest
-    <alpha, v> over the vertices of the packing polytope, unless a
-    recession ray r has <alpha, r> > 0.  One double description serves
-    every alpha."""
-    rays, _ = homogenized_rays(_packing_polytope(n, cols))
-    recession = [vec[:-1] for vec in rays if vec[-1] == 0]
-    den = lcm(*(vec[-1] for vec in rays if vec[-1] > 0))
-    scaled = [tuple(x * (den // vec[-1]) for x in vec[:-1])
-              for vec in rays if vec[-1] > 0]
-
-    def minimum(alpha):
-        if any(dot(alpha, r) > 0 for r in recession):
-            return None
-        return Fraction(max(dot(alpha, v) for v in scaled), den)
-
-    return minimum
-
-
-def tdi_oracle(A):
-    """Definitional TDI cross-check on a small matrix: for every integral
-    objective alpha in the box [-2, max row sum]^n with a finite covering
-    minimum L = min{1.y : Ay >= alpha, y >= 0}, some integral y >= 0 with
-    Ay >= alpha must have 1.y = L.  Bounded verification; the box is part
-    of the report.  A fractional L is a witness at once, and an integral
-    one goes to lp.covering_attains.  Each objective and each search node
-    is charged to errors.SEARCH_BUDGET, which also stops each search on its
-    own, so a run does at most about twice the budget before it raises
-    CapExceededError.
-    """
-    n, cols = _columns_of(A)
-    alpha_hi = max(sum(col[i] for col in cols) for i in range(n))
-    if alpha_hi < -2:
-        raise InputError(f"alpha box [-2, {alpha_hi}] holds no objective")
-    covering = _covering_minimum(n, cols)
-    checked = 0
-    spent = 0
-    bounds = {"alpha_box": [-2, alpha_hi], "node_budget": errors.SEARCH_BUDGET}
-    for alpha in product(range(-2, alpha_hi + 1), repeat=n):
-        spent = spend(spent, 1, "TDI oracle", "objectives and search nodes")
-        lp_value = covering(alpha)
-        if lp_value is None:
-            continue  # no finite minimum for this alpha
-        checked += 1
-        attained = lp_value.denominator == 1
-        if attained:
-            attained, nodes = lp.covering_attains(cols, alpha, int(lp_value))
-            spent += nodes
-        if not attained:
-            return CheckReport(
-                name="tdi-oracle", verdict=False, method=ORACLE,
-                witness={"alpha": alpha, "lp_value": lp_value},
-                search_bounds=bounds)
-    return CheckReport(
-        name="tdi-oracle", verdict=True, method=ORACLE,
-        certificate={"objectives_checked": checked}, search_bounds=bounds)
-
-
 def balanced_check(A):
     """No odd square submatrix with exactly two ones per row and column.
 
     Such a submatrix is exactly a chordless cycle of length 2 mod 4 in the
-    bipartite row/column incidence graph, which is what the fast path
-    enumerates; balanced_oracle scans submatrices directly.
+    bipartite row/column incidence graph, which is what this check
+    enumerates, within errors.SEARCH_BUDGET nodes; the first such cycle
+    names the rows and columns of the witness.
     """
     n, cols = _columns_of(A)
     _require_zero_one(cols)
@@ -239,28 +173,6 @@ def balanced_check(A):
     return CheckReport(name="balanced", verdict=True, method=THEOREM_PATH,
                        certificate={"rows": n, "columns": q},
                        search_bounds=bounds)
-
-
-def balanced_oracle(A):
-    """Exhaustive submatrix scan for the balancedness definition, over
-    square submatrices of order at most BALANCED_ORACLE_ORDER_CAP."""
-    n, cols = _columns_of(A)
-    _require_zero_one(cols)
-    q = len(cols)
-    for k in range(3, min(n, q, BALANCED_ORACLE_ORDER_CAP) + 1, 2):
-        for rows_used in combinations(range(n), k):
-            for cols_used in combinations(range(q), k):
-                sub = [[cols[j][i] for j in cols_used] for i in rows_used]
-                if all(sum(r) == 2 for r in sub) and \
-                        all(sum(sub[i][j] for i in range(k)) == 2
-                            for j in range(k)):
-                    return CheckReport(
-                        name="balanced-oracle", verdict=False, method=ORACLE,
-                        witness={"rows": [i + 1 for i in rows_used],
-                                 "columns": [j + 1 for j in cols_used]},
-                        search_bounds={"order_cap": BALANCED_ORACLE_ORDER_CAP})
-    return CheckReport(name="balanced-oracle", verdict=True, method=ORACLE,
-                       search_bounds={"order_cap": BALANCED_ORACLE_ORDER_CAP})
 
 
 def _require_zero_one(cols):

@@ -168,21 +168,9 @@ def _cmd_check_tdi(doc, cfg):
     return [check(report)], report.verdict
 
 
-def _cmd_tdi_oracle(doc, cfg):
-    report = checks.tdi_oracle(_doc_columns(doc))
-    return [check(report)], report.verdict
-
-
 def _cmd_check_balanced(doc, cfg):
-    cols = _doc_columns(doc)
-    fast = checks.balanced_check(cols)
-    sections = [check(fast)]
-    if max(len(cols), len(cols[0])) <= checks.BALANCED_ORACLE_ORDER_CAP:
-        oracle = checks.balanced_oracle(cols)
-        sections.append(check(oracle))
-        if oracle.verdict != fast.verdict:
-            raise AssertionError(f"balancedness paths disagree: {json.dumps(sections)}")
-    return sections, fast.verdict
+    report = checks.balanced_check(_doc_columns(doc))
+    return [check(report)], report.verdict
 
 
 def _cmd_check_mfmc(doc, cfg):
@@ -250,7 +238,6 @@ COMMANDS = {
     "check-gorenstein": (_cmd_check_gorenstein, "graph"),
     "symbolic-gens": (_cmd_symbolic_gens, "graph"),
     "check-tdi": (_cmd_check_tdi, "matrix"),
-    "tdi-oracle": (_cmd_tdi_oracle, "matrix"),
     "check-balanced": (_cmd_check_balanced, "matrix"),
     "check-mfmc": (_cmd_check_mfmc, "clutter"),
     "blocker": (_cmd_blocker, "clutter"),

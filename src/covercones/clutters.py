@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import errors
-from .errors import DegenerateMinorError, InputError, spend
+from .errors import InputError, spend
 
 
 def _mask_of(vertices):
@@ -258,16 +258,6 @@ def blocker(C):
     return Clutter(C.n, minimal_vertex_covers(C))
 
 
-def maximal_independent_sets(G):
-    """Maximal independent sets; these are the complements of the minimal
-    vertex covers of the edge clutter."""
-    full = set(range(1, G.n + 1))
-    if not G.edges:
-        return [tuple(sorted(full))] if G.n else []
-    covers = minimal_vertex_covers(edge_clutter(G))
-    return sorted(tuple(sorted(full - set(c))) for c in covers)
-
-
 def _exponent(n, support):
     return tuple(1 if v in support else 0 for v in range(1, n + 1))
 
@@ -275,24 +265,6 @@ def _exponent(n, support):
 def cover_ideal(C):
     """Exponent vectors of the cover ideal generators (one per minimal cover)."""
     return sorted(_exponent(C.n, set(c)) for c in minimal_vertex_covers(C))
-
-
-def cover_ideal_of_complement(G):
-    """Generators of the cover ideal of the complement graph, computed from
-    the maximal cliques of G: each generator's support is the complement of
-    a maximal clique.
-
-    Degenerate when the vertex set itself is a clique (the complement has no
-    edges and the construction would emit the zero exponent).
-    """
-    exps = []
-    for clique in maximal_cliques(G):
-        supp = set(range(1, G.n + 1)) - set(clique)
-        if not supp:
-            raise InputError(
-                "complement graph has only isolated vertices; cover ideal degenerate")
-        exps.append(_exponent(G.n, supp))
-    return sorted(exps)
 
 
 def dual_ideal(ideal):
@@ -306,46 +278,6 @@ def dual_ideal(ideal):
             raise InputError(f"dual of {v} is the zero exponent")
         out.append(w)
     return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# minors
-
-def _reindex_map(n, v):
-    return {w: (w if w < v else w - 1) for w in range(1, n + 1) if w != v}
-
-
-def contraction(C, v):
-    """Contract vertex v: remove it from every edge, keep minimal elements.
-
-    Returns (clutter, index_map) on the remaining vertices re-indexed to
-    1..n-1.  Contracting the vertex of a singleton edge would leave an empty
-    edge, which no clutter can carry; this degenerate case raises.
-    """
-    if not 1 <= v <= C.n:
-        raise InputError(f"vertex {v} out of range")
-    idx = _reindex_map(C.n, v)
-    stripped = []
-    for e in C.edges:
-        rest = tuple(idx[w] for w in e if w != v)
-        if not rest and v in e:
-            raise DegenerateMinorError(
-                f"contracting {v} empties the singleton edge {e}")
-        stripped.append(rest)
-    return Clutter(C.n - 1, stripped, minimalize=True), idx
-
-
-def deletion(C, v):
-    """Delete vertex v: drop the edges containing it.
-
-    Returns (clutter, index_map); the result may be the empty clutter, which
-    is the degenerate flag callers should test for.
-    """
-    if not 1 <= v <= C.n:
-        raise InputError(f"vertex {v} out of range")
-    idx = _reindex_map(C.n, v)
-    kept = [tuple(idx[w] for w in e) for e in C.edges if v not in e]
-    return Clutter(C.n - 1, kept), idx
 
 
 def clique_equalization(G):

@@ -25,10 +25,6 @@ def spend(spent, cost, what, unit):
     return spent
 
 
-class DegenerateMinorError(InputError):
-    """A clutter minor produced an empty edge (blocking clutter)."""
-
-
 class NotPointedError(InputError):
     """The operation requires a pointed cone (trivial lineality space)."""
 

@@ -1,6 +1,10 @@
-"""Integral covering by a depth-first search bounded by the LP value.  The
-package solves no linear relaxation: the LP values that tdi_oracle compares
-against are read off a double description.
+"""Integral covering by a depth-first search bounded by the LP value.
+
+No code in the package calls covering_attains: the definitional TDI oracle
+that does (tests/oracles.py::tdi_oracle) lives in the test suite, and the
+module stays for covbench/tracer.py, which looks it up as covercones.lp.
+The package solves no linear relaxation: the oracle reads its LP values off
+a double description.
 """
 
 from . import errors

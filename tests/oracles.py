@@ -11,21 +11,30 @@ Fraction elimination, and Gram-Schmidt for the facet normals of a
 lower-dimensional cone.  The LP questions go to the exact simplex of
 simplex.py, which lives only on the test side: the package itself reads
 every LP value off a double description.  None of it shares code paths
-with the double description or triangulation it cross-checks, except three
+with the double description or triangulation it cross-checks, except four
 helpers built on the package's own cones: recession_rays, the
 Gram-Schmidt reference, which projects the package's DD rays because what
-it checks is the projection, and all_pairs_basis, which reuses the
-package's candidates because what it checks is the reduction.
+it checks is the projection, all_pairs_basis, which reuses the
+package's candidates because what it checks is the reduction, and
+tdi_oracle, which reads its LP values off the package's DD of the packing
+polytope and searches with lp.covering_attains, because what it checks is
+tdi_check's Hilbert-basis condition.  balanced_oracle scans square
+submatrices for the definition that balanced_check decides by induced
+cycles.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
-from covercones import (CapExceededError, CheckReport, InfeasibleError,
-                        IntegerCone, cover_ideal, edge_clutter,
-                        make_halfspace, maximal_cliques, rees_cone)
-from covercones.cones import _dd_pair
+from covercones import (CapExceededError, CheckReport, Clutter,
+                        InfeasibleError, InputError, IntegerCone, cover_ideal,
+                        edge_clutter, errors, lp, make_halfspace,
+                        maximal_cliques, minimal_vertex_covers, rees_cone)
+from covercones.checks import _columns_of, _packing_polytope, _require_zero_one
+from covercones.clutters import _exponent
+from covercones.cones import _dd_pair, homogenized_rays
+from covercones.errors import spend
 from covercones.linalg import dot, gcd_vec, primitive, sign_normalized
 from covercones.report import ORACLE
 
@@ -526,3 +535,158 @@ def gorenstein_box_scan(G, bound):
         name="gorenstein", verdict=True, method=ORACLE,
         certificate={"interior_points_scanned": scanned},
         search_bounds={"scan_bound": bound})
+
+
+# --- TDI and balancedness by definition, and clutter helpers of the tests --
+
+BALANCED_ORACLE_ORDER_CAP = 7
+
+
+class DegenerateMinorError(InputError):
+    """A clutter minor produced an empty edge (blocking clutter)."""
+
+
+def _covering_minimum(n, cols):
+    """alpha -> min{1.y : Ay >= alpha, y >= 0}, or None where infeasible.
+    By LP duality this is max{<alpha, x> : x >= 0, xA <= 1}: the largest
+    <alpha, v> over the vertices of the packing polytope, unless a
+    recession ray r has <alpha, r> > 0.  One double description serves
+    every alpha."""
+    rays, _ = homogenized_rays(_packing_polytope(n, cols))
+    recession = [vec[:-1] for vec in rays if vec[-1] == 0]
+    den = lcm(*(vec[-1] for vec in rays if vec[-1] > 0))
+    scaled = [tuple(x * (den // vec[-1]) for x in vec[:-1])
+              for vec in rays if vec[-1] > 0]
+
+    def minimum(alpha):
+        if any(dot(alpha, r) > 0 for r in recession):
+            return None
+        return Fraction(max(dot(alpha, v) for v in scaled), den)
+
+    return minimum
+
+
+def tdi_oracle(A):
+    """Definitional TDI cross-check on a small matrix: for every integral
+    objective alpha in the box [-2, max row sum]^n with a finite covering
+    minimum L = min{1.y : Ay >= alpha, y >= 0}, some integral y >= 0 with
+    Ay >= alpha must have 1.y = L.  Bounded verification; the box is part
+    of the report.  A fractional L is a witness at once, and an integral
+    one goes to lp.covering_attains.  Each objective and each search node
+    is charged to errors.SEARCH_BUDGET, which also stops each search on its
+    own, so a run does at most about twice the budget before it raises
+    CapExceededError.
+    """
+    n, cols = _columns_of(A)
+    alpha_hi = max(sum(col[i] for col in cols) for i in range(n))
+    if alpha_hi < -2:
+        raise InputError(f"alpha box [-2, {alpha_hi}] holds no objective")
+    covering = _covering_minimum(n, cols)
+    checked = 0
+    spent = 0
+    bounds = {"alpha_box": [-2, alpha_hi], "node_budget": errors.SEARCH_BUDGET}
+    for alpha in product(range(-2, alpha_hi + 1), repeat=n):
+        spent = spend(spent, 1, "TDI oracle", "objectives and search nodes")
+        lp_value = covering(alpha)
+        if lp_value is None:
+            continue  # no finite minimum for this alpha
+        checked += 1
+        attained = lp_value.denominator == 1
+        if attained:
+            attained, nodes = lp.covering_attains(cols, alpha, int(lp_value))
+            spent += nodes
+        if not attained:
+            return CheckReport(
+                name="tdi-oracle", verdict=False, method=ORACLE,
+                witness={"alpha": alpha, "lp_value": lp_value},
+                search_bounds=bounds)
+    return CheckReport(
+        name="tdi-oracle", verdict=True, method=ORACLE,
+        certificate={"objectives_checked": checked}, search_bounds=bounds)
+
+
+def balanced_oracle(A):
+    """Exhaustive submatrix scan for the balancedness definition, over
+    square submatrices of order at most BALANCED_ORACLE_ORDER_CAP."""
+    n, cols = _columns_of(A)
+    _require_zero_one(cols)
+    q = len(cols)
+    for k in range(3, min(n, q, BALANCED_ORACLE_ORDER_CAP) + 1, 2):
+        for rows_used in combinations(range(n), k):
+            for cols_used in combinations(range(q), k):
+                sub = [[cols[j][i] for j in cols_used] for i in rows_used]
+                if all(sum(r) == 2 for r in sub) and \
+                        all(sum(sub[i][j] for i in range(k)) == 2
+                            for j in range(k)):
+                    return CheckReport(
+                        name="balanced-oracle", verdict=False, method=ORACLE,
+                        witness={"rows": [i + 1 for i in rows_used],
+                                 "columns": [j + 1 for j in cols_used]},
+                        search_bounds={"order_cap": BALANCED_ORACLE_ORDER_CAP})
+    return CheckReport(name="balanced-oracle", verdict=True, method=ORACLE,
+                       search_bounds={"order_cap": BALANCED_ORACLE_ORDER_CAP})
+
+
+def maximal_independent_sets(G):
+    """Maximal independent sets; these are the complements of the minimal
+    vertex covers of the edge clutter."""
+    full = set(range(1, G.n + 1))
+    if not G.edges:
+        return [tuple(sorted(full))] if G.n else []
+    covers = minimal_vertex_covers(edge_clutter(G))
+    return sorted(tuple(sorted(full - set(c))) for c in covers)
+
+
+def cover_ideal_of_complement(G):
+    """Generators of the cover ideal of the complement graph, computed from
+    the maximal cliques of G: each generator's support is the complement of
+    a maximal clique.
+
+    Degenerate when the vertex set itself is a clique (the complement has no
+    edges and the construction would emit the zero exponent).
+    """
+    exps = []
+    for clique in maximal_cliques(G):
+        supp = set(range(1, G.n + 1)) - set(clique)
+        if not supp:
+            raise InputError(
+                "complement graph has only isolated vertices; cover ideal degenerate")
+        exps.append(_exponent(G.n, supp))
+    return sorted(exps)
+
+
+def _reindex_map(n, v):
+    return {w: (w if w < v else w - 1) for w in range(1, n + 1) if w != v}
+
+
+def contraction(C, v):
+    """Contract vertex v: remove it from every edge, keep minimal elements.
+
+    Returns (clutter, index_map) on the remaining vertices re-indexed to
+    1..n-1.  Contracting the vertex of a singleton edge would leave an empty
+    edge, which no clutter can carry; this degenerate case raises.
+    """
+    if not 1 <= v <= C.n:
+        raise InputError(f"vertex {v} out of range")
+    idx = _reindex_map(C.n, v)
+    stripped = []
+    for e in C.edges:
+        rest = tuple(idx[w] for w in e if w != v)
+        if not rest and v in e:
+            raise DegenerateMinorError(
+                f"contracting {v} empties the singleton edge {e}")
+        stripped.append(rest)
+    return Clutter(C.n - 1, stripped, minimalize=True), idx
+
+
+def deletion(C, v):
+    """Delete vertex v: drop the edges containing it.
+
+    Returns (clutter, index_map); the result may be the empty clutter, which
+    is the degenerate flag callers should test for.
+    """
+    if not 1 <= v <= C.n:
+        raise InputError(f"vertex {v} out of range")
+    idx = _reindex_map(C.n, v)
+    kept = [tuple(idx[w] for w in e) for e in C.edges if v not in e]
+    return Clutter(C.n - 1, kept), idx

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from itertools import combinations
 
 from covercones import (IntegerCone, balanced_check,
-                        balanced_oracle, clique_halfspaces, clique_lift_set,
+                        clique_halfspaces, clique_lift_set,
                         cover_ideal, dual_balanced_normal,
                         edge_clutter, gorenstein_check, hilbert_basis,
                         incidence_matrix,
@@ -21,14 +21,15 @@ from covercones import (IntegerCone, balanced_check,
                         is_chordal, complement, mfmc_check,
                         perfect_matrix_check, perfect_via_rees_cone,
                         rees_cone, simis_hilbert_basis,
-                        tdi_check, tdi_oracle, vertex_clique_matrix)
+                        tdi_check, vertex_clique_matrix)
 from covercones.cli import main
 
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
                     cycle_graph, is_bipartite, no_isolated,
                     random_six_vertex_corpus, small_graph_corpus, with_edges)
-from oracles import (brute_hilbert_basis, cone_membership_lp,
-                     irredundancy_witnesses, is_perfect_definitional)
+from oracles import (balanced_oracle, brute_hilbert_basis, cone_membership_lp,
+                     irredundancy_witnesses, is_perfect_definitional,
+                     tdi_oracle)
 
 
 @contextmanager

@@ -8,15 +8,15 @@ from covercones import (CapExceededError, InputError, IntegerCone,
                         complement, cover_ideal, edge_clutter,
                         ehrhart_equality, gorenstein_check, hilbert_basis,
                         incidence_matrix, is_rees_normal, is_unmixed,
-                        lattice_points_dilation, maximal_independent_sets,
-                        rees_cone, rees_hilbert_basis, rees_lift_set,
-                        semigroup_member, simis_cone, simis_hilbert_basis,
+                        lattice_points_dilation, rees_cone,
+                        rees_hilbert_basis, rees_lift_set, semigroup_member,
+                        simis_cone, simis_hilbert_basis,
                         symbolic_generators_perfect, tdi_check)
 
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
                     cycle_graph, no_isolated, path_graph, paw_graph,
                     small_graph_corpus)
-from oracles import gorenstein_box_scan
+from oracles import contraction, gorenstein_box_scan, maximal_independent_sets
 
 
 def edge_ideal(G):
@@ -278,7 +278,7 @@ def test_gorenstein_walk_budget(monkeypatch):
 
 
 def test_paw_chain_normality_is_preserved_under_contraction():
-    from covercones import Clutter, clique_equalization, complement, contraction
+    from covercones import Clutter, clique_equalization, complement
     G = paw_graph()
     H, added = clique_equalization(G)
     ideal_H = cover_ideal(edge_clutter(complement(H)))

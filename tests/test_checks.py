@@ -5,22 +5,23 @@ from itertools import product
 import pytest
 
 from covercones import (Clutter, Graph, InputError, IntegerCone,
-                        balanced_check, balanced_oracle, clique_halfspaces,
+                        balanced_check, clique_halfspaces,
                         cm_height_two_normal, complement, cover_ideal,
                         dual_balanced_normal, edge_clutter, hilbert_basis,
                         incidence_matrix, is_rees_normal, mfmc_check,
                         perfect_matrix_check, perfect_via_odd_holes,
                         perfect_via_rees_cone, rees_cone, semigroup_member,
-                        tdi_check, tdi_oracle, vertex_clique_matrix)
+                        tdi_check, vertex_clique_matrix)
 from covercones import errors
-from covercones.checks import _columns_of, _covering_minimum
+from covercones.checks import _columns_of
 from covercones.errors import CapExceededError
 from covercones.lp import covering_attains
 
 from corpus import (all_graphs_up_to_iso, complete_bipartite, complete_graph,
                     cycle_graph, no_isolated, path_graph, small_graph_corpus,
                     with_edges)
-from oracles import covering_by_scan, is_perfect_definitional
+from oracles import (_covering_minimum, balanced_oracle, covering_by_scan,
+                     is_perfect_definitional, tdi_oracle)
 from simplex import GE, INFEASIBLE, OPTIMAL, make_lp, solve
 
 
@@ -195,7 +196,7 @@ ZERO_ROW = [(1, 0), (1, 0)]
 
 def test_covering_values_match_the_simplex_on_every_objective():
     """The double description's covering minimum against the exact simplex,
-    on every objective of the tdi-oracle fixtures."""
+    on every objective of the tdi_oracle fixtures."""
     fixtures = [
         vertex_clique_matrix(complete_graph(2)),
         vertex_clique_matrix(path_graph(3)),

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from covercones.cli import main
+from covercones.cli import COMMANDS, _doc_columns, main
 from covercones.textio import (ParseError, format_inequality, parse_input,
                                read_labels)
 from covercones import InputError, errors, make_halfspace
 
-from oracles import covering_by_scan
+from oracles import covering_by_scan, tdi_oracle
 
 
 @pytest.fixture
@@ -300,23 +300,48 @@ def test_gorenstein_walk_past_its_budget_exits_3(write, capsys):
     assert captured.out == ""
 
 
-def test_alpha_box_flag_is_gone(write, capsys):
+def _tdi_oracle_section(text):
+    """The test-side TDI oracle on a matrix document, read into columns as
+    the matrix commands read it, as the section of a --json report."""
+    return tdi_oracle(_doc_columns(parse_input(text))).as_dict()
+
+
+def test_tdi_oracle_command_is_retired(write, capsys):
     path = write("triangle.mat", "matrix { 1 1 0 ; 0 1 1 ; 1 0 1 }\n")
+    assert "tdi-oracle" not in COMMANDS
     with pytest.raises(SystemExit) as exc:
-        main(["tdi-oracle", path, "--alpha-box", "1"])
+        main(["tdi-oracle", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument command: invalid choice: 'tdi-oracle'" in err
+
+
+def test_tdi_oracle_verdicts_on_matrix_documents():
+    cases = (("matrix { 1 1 0 ; 0 1 1 ; 1 0 1 }", False),
+             ("matrix { 1 0 ; 1 1 ; 0 1 }", True),
+             ("matrix { 2 -1 2 ; -1 1 -1 }", False),
+             ("matrix { 1 1 1 0 ; 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1 }",
+              True))
+    for text, verdict in cases:
+        assert _tdi_oracle_section(text)["verdict"] is verdict, text
+
+
+def test_alpha_box_flag_is_gone(write, capsys):
+    text = "matrix { 1 1 0 ; 0 1 1 ; 1 0 1 }\n"
+    path = write("triangle.mat", text)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-tdi", path, "--alpha-box", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --alpha-box 1" in capsys.readouterr().err
-    code, report = run_json(capsys, ["tdi-oracle", path])
-    assert code == 0 and report["primary_verdict"] is False
-    assert report["results"][0]["search_bounds"]["alpha_box"] == [-2, 2]
+    section = _tdi_oracle_section(text)
+    assert section["verdict"] is False
+    assert section["search_bounds"]["alpha_box"] == [-2, 2]
 
 
-def test_tdi_oracle_on_a_matrix_with_negative_entries(write, capsys):
+def test_tdi_oracle_on_a_matrix_with_negative_entries():
     # alpha = (-1, 3) is met at cost 7 by y = (0, 5, 2)
-    path = write("neg.mat", "matrix { 2 -1 2 ; -1 1 -1 }\n")
-    code, report = run_json(capsys, ["tdi-oracle", path])
-    assert code == 0 and report["primary_verdict"] is False
-    section = report["results"][0]
+    section = _tdi_oracle_section("matrix { 2 -1 2 ; -1 1 -1 }\n")
+    assert section["verdict"] is False
     assert section["witness"] == {"alpha": [1, -2], "lp_value": "1/2"}
     assert section["search_bounds"] == {"alpha_box": [-2, 3],
                                         "node_budget": 1000000}
@@ -343,6 +368,22 @@ def test_balanced_walk_past_its_budget_exits_3(write, capsys):
     assert captured.err == ("error: induced-cycle search exceeded its budget "
                             "of 1000000 nodes\n")
     assert captured.out == ""
+
+
+def test_check_balanced_prints_one_section(write, capsys):
+    for text, verdict in (("matrix { 1 0 ; 1 1 ; 0 1 }\n", True),
+                          ("matrix { 1 1 0 ; 0 1 1 ; 1 0 1 }\n", False)):
+        path = write("m.mat", text)
+        code, report = run_json(capsys, ["check-balanced", path])
+        assert code == 0 and report["primary_verdict"] is verdict
+        [section] = report["results"]
+        assert (section["name"], section["method"]) == \
+            ("balanced", "theorem-path")
+        assert main(["check-balanced", path]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines()
+                if line.startswith("check ")] == \
+            [f"check balanced: {str(verdict).lower()}  [theorem-path]"]
 
 
 def test_hilbert_basis_command_monomials(write, capsys):

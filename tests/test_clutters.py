@@ -2,20 +2,21 @@ import random
 
 import pytest
 
-from covercones import (Clutter, Graph, InputError, DegenerateMinorError,
-                        all_cliques, blocker, clique_equalization, complement,
-                        contraction, cover_ideal, cover_ideal_of_complement,
-                        deletion, dual_ideal, edge_clutter, incidence_matrix,
-                        is_unmixed, maximal_cliques, maximal_independent_sets,
-                        minimal_vertex_covers, vertex_clique_matrix)
+from covercones import (Clutter, Graph, InputError, all_cliques, blocker,
+                        clique_equalization, complement, cover_ideal,
+                        dual_ideal, edge_clutter, incidence_matrix,
+                        is_unmixed, maximal_cliques, minimal_vertex_covers,
+                        vertex_clique_matrix)
 from covercones.errors import CapExceededError
 
 from corpus import (all_graphs_up_to_iso, complete_graph, cycle_graph,
                     path_graph, paw_graph, with_edges)
-from oracles import (brute_all_cliques, brute_chromatic_number,
-                     brute_clique_number, brute_is_perfect,
-                     brute_maximal_cliques, brute_minimal_covers,
-                     chromatic_number, clique_number, is_perfect_definitional)
+from oracles import (DegenerateMinorError, brute_all_cliques,
+                     brute_chromatic_number, brute_clique_number,
+                     brute_is_perfect, brute_maximal_cliques,
+                     brute_minimal_covers, chromatic_number, clique_number,
+                     contraction, cover_ideal_of_complement, deletion,
+                     is_perfect_definitional, maximal_independent_sets)
 
 
 def test_graph_construction_rejects_loops_and_range():

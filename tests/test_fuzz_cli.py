@@ -25,9 +25,13 @@ def _matrix(rows):
     return "matrix { " + " ; ".join(" ".join(map(str, r)) for r in rows) + " }\n"
 
 
-# inputs past a cap or budget of some command: the incidence matrix of C10,
-# a 2 x 20 0/1 matrix whose integer programs outgrow the node budget, and
-# the 16-edge perfect matching, which has 2^16 minimal vertex covers
+# larger inputs: the incidence matrix of C10, whose 11-dimensional cone
+# check-tdi takes a Hilbert basis of and whose 20-vertex row/column graph
+# check-balanced walks for induced cycles; a 2 x 20 0/1 matrix with zero
+# and repeated columns, which check-tdi and check-balanced answer and
+# dual-ideal refuses (its column (1, 1) dualizes to zero); and the 16-edge
+# perfect matching, whose 2^16 minimal vertex covers put every command that
+# enumerates covers past the search budget
 LARGE = (
     _matrix([[int(v in (j, (j + 1) % 10)) for j in range(10)]
              for v in range(10)]),
