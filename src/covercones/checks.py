@@ -9,6 +9,8 @@ tests/oracles.py; the test suite runs both on small inputs and treats any
 disagreement as a failure.
 """
 
+from dataclasses import replace
+
 from . import errors
 from .blowup import is_rees_normal, rees_lift_set
 from .clutters import (IncidenceMatrix, _exponent, all_cliques,
@@ -100,10 +102,8 @@ def perfect_via_odd_holes(G):
 def perfect_matrix_check(A):
     """A 0/1 matrix is perfect when {x >= 0, xA <= 1} has integral vertices
     only; the witness of failure is a fractional vertex."""
-    inner = is_integral(_packing_polytope(*_columns_of(A)))
-    return CheckReport(
-        name="perfect-matrix", verdict=inner.verdict, method=THEOREM_PATH,
-        witness=inner.witness, certificate=inner.certificate)
+    return replace(is_integral(_packing_polytope(*_columns_of(A))),
+                   name="perfect-matrix")
 
 
 def tdi_check(A):

@@ -5,15 +5,15 @@ dual form: an integer generator list and an irredundant list of primitive
 facet normals, both fixed when the cone is built.  Each cone costs one run
 of the double description method in exact integer arithmetic: on the polar
 side for a V-described cone, and on its own halfspaces for an H-described
-one, whose facets are then read off the tight sets of the rays (only a
-lower-dimensional H-described cone runs a second one).  The sparsest
-constraints go first (the coordinate halfspaces lead, which keeps the
-intermediate ray lists small), and past errors.SEARCH_BUDGET ray pairs it
-raises CapExceededError.  The output is canonically sorted, so it never
-depends on that order.  It is the one polyhedral engine: the vertices of an
-affine polyhedron are the rays of its homogenization, and the lattice
-points of a dilated polytope are tested against the facets of the cone
-over it.
+one, whose facets are then read off the tight sets of the rays.  A
+lower-dimensional cone takes one more run, and two when H-described (see
+facets_of_generators): no other solver is used.  The sparsest constraints go first (the coordinate
+halfspaces lead, which keeps the intermediate ray lists small), and past
+errors.SEARCH_BUDGET ray pairs each run raises CapExceededError.  The
+output is canonically sorted, so it never depends on that order.  It is
+the one polyhedral engine: the vertices of an affine polyhedron are the
+rays of its homogenization, and the lattice points of a dilated polytope
+are tested against the facets of the cone over it.
 
 Every cone keeps the values <F, p> of its facets F on its primitive
 generators p, computed once at construction while checking that no
@@ -49,14 +49,13 @@ equality of polyhedra, so a single rounding error would flip verdicts.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import ge
 
 from .errors import InfeasibleError, InputError, NoGradingError, \
     NotPointedError, spend
-from .linalg import diagonalize, dot, gcd_vec, primitive, sign_normalized, \
-    solve_square
-from .report import ORACLE, CheckReport
+from .linalg import diagonalize, dot, gcd_vec, primitive
+from .report import THEOREM_PATH, CheckReport
 
 
 @dataclass(frozen=True, order=True)
@@ -180,30 +179,19 @@ def _dd_pair(dim, normals):
     return [(tuple(vec), mask) for vec, mask in rays], lineality, normals
 
 
-def extreme_rays_of_halfspaces(dim, halfspaces):
-    """Primitive extreme rays of a pointed cone given by homogeneous
-    halfspaces.  Raises NotPointedError when a lineality direction survives."""
-    normals = [h.normal if isinstance(h, Halfspace) else tuple(h)
-               for h in halfspaces]
-    rays, lineality, _ = _dd_pair(dim, normals)
-    if lineality:
-        raise NotPointedError(
-            f"cone contains the line through {lineality[0]}")
-    return sorted(vec for vec, _ in rays)
-
-
 def facets_of_generators(dim, generators):
     """Irredundant primitive facet halfspaces of the cone generated by the
     given integer vectors, by double description on the polar side.
 
     For a full-dimensional cone this is the unique irreducible
     representation.  Lower-dimensional cones additionally need their span
-    cut out, which is returned as opposite pairs of halfspaces.  Their polar
-    cone has a lineality space L, and each of its rays stands for a facet
-    normal only modulo L; the normal reported is the canonical
-    representative v - L^T (L L^T)^{-1} L v, orthogonal to L, solved
-    exactly and scaled to a primitive integer vector.  No generators give
-    the zero cone, cut out by the opposite pairs of the unit vectors.
+    cut out, which is returned as opposite pairs of halfspaces, one pair
+    per basis vector of the polar lineality space L = W^⊥, W the span of
+    the generators.  The polar cone splits as (C* ∩ W) ⊕ L, and C* ∩ W is
+    the polar of the full-dimensional cone C + L, so it is pointed: a
+    second double description on the generators and both signs of L gives
+    its primitive rays, the facet normals orthogonal to L.  No generators give the zero
+    cone, cut out by the opposite pairs of the unit vectors.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     out = _polar_facets(dim, gens)
@@ -217,22 +205,11 @@ def _polar_facets(dim, gens):
     if not all(map(any, gens)):
         raise InputError("zero vector among generators")
     rays, lineality, _ = _dd_pair(dim, gens)
-    gram = [[dot(l, m) for m in lineality] for l in lineality]
-    out = []
-    for vec, _ in rays:
-        if lineality:
-            lam = solve_square(gram, [dot(l, vec) for l in lineality])
-            den = lcm(*(x.denominator for x in lam))
-            coef = [int(den * x) for x in lam]
-            vec = primitive(tuple(
-                den * x - sum(c * l[i] for c, l in zip(coef, lineality))
-                for i, x in enumerate(vec)))
-        out.append(make_halfspace(vec))
-    for l in lineality:
-        l = sign_normalized(primitive(l))
-        out.append(make_halfspace(l))
-        out.append(make_halfspace(tuple(-x for x in l)))
-    return sorted(set(out))
+    pairs = [w for l in lineality for w in (l, tuple(-x for x in l))]
+    if lineality:
+        rays, _, _ = _dd_pair(dim, [*gens, *pairs])
+    return sorted({make_halfspace(v)
+                   for v in [vec for vec, _ in rays] + pairs})
 
 
 def _facet_values(facets, generators):
@@ -266,10 +243,11 @@ class IntegerCone:
     on every ray the cone is full-dimensional and its facets are the given
     normals whose sets of tight rays are inclusion-maximal.  A
     lower-dimensional one takes the facets of its generators as a
-    V-described cone does.  Either way the facet list is irredundant even
-    when the given halfspaces were not.  The extreme rays are the DD rays
-    when an H-described cone is pointed; otherwise they wait until first
-    asked for.
+    V-described cone does.  So a full-dimensional cone runs one double
+    description, a lower-dimensional V-described one two and a
+    lower-dimensional H-described one three.  Either way the facet list is irredundant even when the given halfspaces were
+    not.  The extreme rays are the DD rays when an H-described cone is
+    pointed; otherwise they wait until first asked for.
 
     Construction ends by computing the value matrix of _facet_values, and
     that is the one check that every generator satisfies every facet, on
@@ -293,7 +271,8 @@ class IntegerCone:
             if any(len(h.normal) != dim or h.rhs != 0 for h in hs):
                 raise InputError("halfspace dimension mismatch or affine rhs")
             rays, lineality, normals = _dd_pair(dim, [h.normal for h in hs])
-            generators = sorted(_with_lineality_pairs(rays, lineality))
+            generators = sorted([vec for vec, _ in rays] + [
+                w for l in lineality for w in (l, tuple(-x for x in l))])
             facets = _facets_of_tight_sets(normals, rays)
             if not lineality:
                 self._extreme = tuple(generators)
@@ -331,9 +310,9 @@ class IntegerCone:
                 raise NotPointedError("extreme rays require a pointed cone")
             tight = {p: sum(1 << i for i, v in enumerate(row) if not v)
                      for p, row in self._values.items()}
+            maximal = set(_maximal(tight.values()))
             self._extreme = tuple(sorted(
-                p for p, m in tight.items()
-                if not any(o != m and o & m == m for o in tight.values())))
+                p for p, m in tight.items() if m in maximal))
         return self._extreme
 
     def is_pointed(self):
@@ -366,13 +345,15 @@ class IntegerCone:
                 f"generators={len(self._generators)})")
 
 
-def _with_lineality_pairs(rays, lineality):
-    """The DD ray vectors followed by both signs of each lineality vector."""
-    gens = [vec for vec, _ in rays]
-    for l in lineality:
-        gens.append(tuple(l))
-        gens.append(tuple(-x for x in l))
-    return gens
+def _maximal(masks):
+    """The inclusion-maximal bitmasks among the given ones, each once,
+    largest first (ties in the order given)."""
+    kept = []
+    # largest first, so a mask is maximal unless a kept one covers it
+    for m in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+        if not any(m & big == m for big in kept):
+            kept.append(m)
+    return kept
 
 
 def _facets_of_tight_sets(normals, rays):
@@ -397,18 +378,21 @@ def _facets_of_tight_sets(normals, rays):
             mask ^= low
     if (1 << len(rays)) - 1 in tight:
         return None
-    # largest first, so a set is maximal unless a kept one covers it
-    kept = []
-    for t, a in sorted(zip(tight, normals), key=lambda p: -p[0].bit_count()):
-        if not any(t & big == t for big, _ in kept):
-            kept.append((t, a))
-    return sorted(Halfspace(a) for _, a in kept)
+    normal_of = dict(zip(tight, normals))
+    return sorted(Halfspace(normal_of[t]) for t in _maximal(tight))
+
+
+def extreme_rays_of_halfspaces(dim, halfspaces):
+    """Primitive extreme rays, sorted, of a pointed cone given by
+    homogeneous halfspaces.  Raises NotPointedError when a lineality
+    direction survives."""
+    return list(IntegerCone(dim, halfspaces=halfspaces).extreme_rays())
 
 
 def extreme_rays_of_halfspaces_or_lineality(dim, halfspaces):
-    """Generators (rays plus +/- lineality pairs) of an H-described cone."""
-    rays, lineality, _ = _dd_pair(dim, [h.normal for h in halfspaces])
-    return _with_lineality_pairs(rays, lineality)
+    """Generators, sorted, of an H-described cone: its rays plus both signs
+    of a basis of its lineality space."""
+    return list(IntegerCone(dim, halfspaces=halfspaces).generators)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +454,7 @@ def _triangulate(cone):
                         and heights.get(sub, h) >= h:
                     heights[sub] = h
             out = []
-            maximal = []
-            # largest first, so a set is maximal unless a kept one covers it
-            for sub in sorted(heights, key=int.bit_count, reverse=True):
-                if any(sub & big == sub for big in maximal):
-                    continue
-                maximal.append(sub)
+            for sub in _maximal(heights):
                 if not sub & apex:
                     joined = pieces(sub, dim - 1)
                     spent = spend(spent, dim * len(joined), "triangulation",
@@ -595,6 +574,8 @@ def positive_grading(generators):
     non-zero point of a pointed cone is positive on some facet.  Raises
     NoGradingError for a zero generator or a cone that is not pointed."""
     gens = [tuple(int(x) for x in g) for g in generators]
+    if not gens:
+        raise InputError("empty generator list")
     if not all(map(any, gens)):
         raise NoGradingError("a zero generator admits no positive grading")
     cone = IntegerCone(len(gens[0]), gens)
@@ -703,15 +684,18 @@ def vertices(P):
 
 
 def is_integral(P):
-    """Vertex integrality report with a fractional-vertex witness."""
+    """Vertex integrality report with a fractional-vertex witness: the
+    vertices come from one double description, so a true verdict is a
+    proof."""
     verts = vertices(P)
     for v in verts:
         if any(x.denominator != 1 for x in v):
             return CheckReport(
-                name="integral-polyhedron", verdict=False, method=ORACLE,
+                name="integral-polyhedron", verdict=False,
+                method=THEOREM_PATH,
                 witness={"vertex": tuple(str(x) for x in v)})
     return CheckReport(
-        name="integral-polyhedron", verdict=True, method=ORACLE,
+        name="integral-polyhedron", verdict=True, method=THEOREM_PATH,
         certificate={"vertices": len(verts)})
 
 
@@ -724,6 +708,8 @@ def lattice_points_dilation(points, b):
     (p, 1)."""
     if b < 1:
         raise InputError("dilation factor must be a positive integer")
+    if not points:
+        raise InputError("empty point list")
     dim = len(points[0])
     cone = IntegerCone(dim + 1, [tuple(p) + (1,) for p in points])
     lo = [b * min(p[i] for p in points) for i in range(dim)]

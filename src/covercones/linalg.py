@@ -1,11 +1,9 @@
-"""Small exact linear algebra helpers over Z and Q.
+"""Small exact linear algebra helpers over Z.
 
-Vectors are tuples of ints (or Fractions where stated); matrices are
-sequences of row tuples.  Everything is exact, nothing here touches
-floating point.
+Vectors are tuples of ints; matrices are sequences of row tuples.
+Everything is exact, nothing here touches floating point.
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -29,33 +27,6 @@ def primitive(v):
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
-
-
-def sign_normalized(v):
-    """Flip sign so the first non-zero entry is positive."""
-    for x in v:
-        if x:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
-
-
-def solve_square(rows, rhs):
-    """Solve a square linear system exactly.  Returns a Fraction tuple or
-    None when the matrix is singular."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        lead = a[col][col]
-        a[col] = [x / lead for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(a[i][n] for i in range(n))
 
 
 def diagonalize(columns):

@@ -13,10 +13,10 @@ simplex.py, which lives only on the test side: the package itself reads
 every LP value off a double description.  None of it shares code paths
 with the double description or triangulation it cross-checks, except four
 helpers built on the package's own cones: recession_rays, the
-Gram-Schmidt reference, which projects the package's DD rays because what
-it checks is the projection, all_pairs_basis, which reuses the
-package's candidates because what it checks is the reduction, and
-tdi_oracle, which reads its LP values off the package's DD of the packing
+Gram-Schmidt reference, which projects the rays of the package's first
+polar DD because what it checks is the second one, all_pairs_basis,
+which reuses the package's candidates because what it checks is the
+reduction, and tdi_oracle, which reads its LP values off the package's DD of the packing
 polytope and searches with lp.covering_attains, because what it checks is
 tdi_check's Hilbert-basis condition.  balanced_oracle scans square
 submatrices for the definition that balanced_check decides by induced
@@ -35,7 +35,7 @@ from covercones.checks import _columns_of, _packing_polytope, _require_zero_one
 from covercones.clutters import _exponent
 from covercones.cones import _dd_pair, homogenized_rays
 from covercones.errors import spend
-from covercones.linalg import dot, gcd_vec, primitive, sign_normalized
+from covercones.linalg import dot, gcd_vec, primitive
 from covercones.report import ORACLE
 
 from simplex import EQ, GE, LE, OPTIMAL, LinearProgram, make_lp, solve
@@ -452,6 +452,14 @@ def recession_rays(P):
     return list(rec.extreme_rays())
 
 
+def sign_normalized(v):
+    """Flip sign so the first non-zero entry is positive."""
+    for x in v:
+        if x:
+            return tuple(v) if x > 0 else tuple(-y for y in v)
+    return tuple(v)
+
+
 def orthogonal_reduce(vec, basis):
     """Canonical representative of vec modulo span(basis): the orthogonal
     projection away from the span, rescaled to a primitive integer vector."""
@@ -480,8 +488,9 @@ def orthogonal_reduce(vec, basis):
 def gram_schmidt_facets(dim, generators):
     """Facet halfspaces of cone(generators) with every polar DD ray reduced
     modulo the polar lineality by Gram-Schmidt, plus the opposite pairs
-    that cut out the span: the reference for the exact projection of
-    facets_of_generators."""
+    that cut out the span: the reference for facets_of_generators, whose
+    second double description finds the same normals orthogonal to the
+    polar lineality without projecting."""
     rays, lineality, _ = _dd_pair(dim, generators)
     out = [make_halfspace(orthogonal_reduce(vec, lineality) if lineality
                           else vec) for vec, _ in rays]

@@ -5,8 +5,9 @@ least-index pivoting rule, which cannot cycle.  Every optimal result carries
 a dual solution, and both feasibility and the strong-duality equation are
 re-verified exactly before the result is returned, so an LPResult with
 status "optimal" is a checked certificate, not just a solver claim.  It
-shares no code with the double description that the package reads its LP
-values from.  Programs are the integer LinearProgram defined here.
+shares no code with the package, which reads its LP values off a double
+description: even the Fraction solve of the dual, solve_square, is defined
+here.  Programs are the integer LinearProgram defined here.
 
 No tolerances exist in this module; all comparisons are exact.
 """
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from covercones.errors import InputError
-from covercones.linalg import solve_square
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -108,6 +108,25 @@ def _run_simplex(tab, basis, cost, ncols):
         f = cost[col]
         if f:
             cost[:] = [x - f * y for x, y in zip(cost, tab[row] + [])]
+
+
+def solve_square(rows, rhs):
+    """Solve a square linear system exactly.  Returns a Fraction tuple or
+    None when the matrix is singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        lead = a[col][col]
+        a[col] = [x / lead for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return tuple(a[i][n] for i in range(n))
 
 
 def _standardize(lp):

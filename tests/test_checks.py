@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from covercones import (Clutter, Graph, InputError, IntegerCone,
-                        balanced_check, clique_halfspaces,
+from covercones import (CheckReport, Clutter, Graph, InputError,
+                        IntegerCone, balanced_check, clique_halfspaces,
                         cm_height_two_normal, complement, cover_ideal,
                         dual_balanced_normal, edge_clutter, hilbert_basis,
                         incidence_matrix, is_rees_normal, mfmc_check,
@@ -147,7 +147,9 @@ def test_exhaustive_six_vertex_sweep():
 def test_perfect_matrix_fixtures():
     assert perfect_matrix_check(vertex_clique_matrix(cycle_graph(4))).verdict
     r = perfect_matrix_check(incidence_matrix(edge_clutter(cycle_graph(5))))
-    assert r.verdict is False and r.witness["vertex"] == ("1/2",) * 5
+    assert r == CheckReport(name="perfect-matrix", verdict=False,
+                            method="theorem-path",
+                            witness={"vertex": ("1/2",) * 5})
     assert perfect_matrix_check([(1,)]).verdict is True
 
 

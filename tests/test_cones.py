@@ -520,7 +520,7 @@ def test_covering_polyhedron_of_pentagon():
     fractional = [v for v in vs if any(x.denominator != 1 for x in v)]
     assert fractional == [(Fraction(1, 2),) * 5]
     report = is_integral(P)
-    assert report.verdict is False
+    assert report.verdict is False and report.method == "theorem-path"
     assert report.witness["vertex"] == ("1/2",) * 5
     assert recession_rays(P) == sorted(unit(5, i) for i in range(5))
 
@@ -584,6 +584,16 @@ def test_lattice_points_dilation_against_lp_membership():
             want = brute_lattice_points_dilation(
                 points, b, lambda z: cone_membership_lp(lifts, z + (b,)))
             assert lattice_points_dilation(points, b) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lattice_points_dilation([], 2),
+    lambda: positive_grading([]),
+    lambda: semigroup_member((1, 0), []),
+], ids=["lattice_points_dilation", "positive_grading", "semigroup_member"])
+def test_an_empty_point_or_generator_list_is_an_input_error(call):
+    with pytest.raises(InputError, match="empty"):
+        call()
 
 
 def test_semigroup_membership_examples():
@@ -761,3 +771,51 @@ def test_lower_dimensional_facets_match_gram_schmidt_projection():
         checked += 1
         assert facets_of_generators(dim, gens) == \
             gram_schmidt_facets(dim, gens), gens
+    # H-described cones with implicit equalities (a normal and its
+    # negation), then the zero cone, the whole space and a line
+    cones = []
+    while len(cones) < 200:
+        dim = rng.randint(2, 6)
+        normals = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                   for _ in range(rng.randint(1, dim + 2))]
+        normals = [a for a in normals if any(a)]
+        if normals:
+            a = rng.choice(normals)
+            cones.append(IntegerCone(dim, halfspaces=normals + [
+                tuple(-x for x in a)]))
+            assert cones[-1].rank() < dim
+    for dim in (2, 3, 5):
+        units = [unit(dim, i) for i in range(dim)]
+        both = units + [tuple(-x for x in u) for u in units]
+        line = tuple(range(1, dim + 1))
+        cones += [IntegerCone(dim, halfspaces=both), IntegerCone(dim, both),
+                  IntegerCone(dim, [line, tuple(-x for x in line)])]
+    for cone in cones:
+        assert cone.facets == tuple(
+            gram_schmidt_facets(cone.dim, cone.generators)), cone.generators
+
+
+def test_double_descriptions_per_cone(monkeypatch):
+    # one for a full-dimensional cone, however it is described; a
+    # lower-dimensional one adds the polar run on the generators and both
+    # signs of the polar lineality, and an H-described one adds the first
+    # polar run as well
+    from covercones import cones
+    real_dd = cones._dd_pair
+    calls = []
+
+    def counted(dim, normals):
+        calls.append(dim)
+        return real_dd(dim, normals)
+
+    def runs(**description):
+        calls.clear()
+        IntegerCone(3, **description)
+        return len(calls)
+
+    monkeypatch.setattr(cones, "_dd_pair", counted)
+    orthant = [unit(3, i) for i in range(3)]
+    assert runs(generators=orthant) == 1
+    assert runs(halfspaces=orthant) == 1
+    assert runs(generators=orthant[:2]) == 2
+    assert runs(halfspaces=orthant + [(0, 0, -1)]) == 3
