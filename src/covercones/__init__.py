@@ -8,10 +8,9 @@ and the max-flow min-cut property, each cross-checked at small scale by an
 independent brute-force oracle in the test suite.
 """
 
-from .blowup import (MonomialGenerator, ReesConeModel, SimisConeModel,
-                     clique_lift_set, ehrhart_equality, gorenstein_check,
-                     is_rees_normal, rees_cone, rees_hilbert_basis,
-                     rees_lift_set, simis_cone, simis_hilbert_basis,
+from .blowup import (SimisConeModel, clique_lift_set, ehrhart_equality,
+                     gorenstein_check, is_rees_normal, rees_cone,
+                     rees_hilbert_basis, simis_cone, simis_hilbert_basis,
                      symbolic_generators_perfect)
 from .checks import (balanced_check, clique_halfspaces, cm_height_two_normal,
                      dual_balanced_normal, mfmc_check, perfect_matrix_check,

@@ -1,18 +1,19 @@
 """Rees cones, Simis cones, and the ring-theoretic decisions they carry.
 
 For a square-free monomial ideal with generator exponents v_1..v_q in N^n,
-the Rees cone is generated by the unit vectors e_1..e_n together with the
-lifted generators (v_i, 1) in R^{n+1}.  The Rees algebra is normal exactly
-when that lift set generates every lattice point of its cone, which this
-module decides by computing the Hilbert basis of the cone and testing that
-it is contained in the lift set: a basis element is irreducible, so it is a
-non-negative integer combination of the lift set only when it is a lift.
+the Rees cone is the IntegerCone whose generators, the lift set, are the
+unit vectors e_1..e_n then the lifted generators (v_i, 1) in R^{n+1}.  The
+Rees algebra is normal exactly when the lift set generates every lattice
+point of the cone, which this module decides by testing that the cone's
+Hilbert basis lies among its generators: a basis element is irreducible,
+so it is a non-negative integer combination of the lifts only when it is
+one.
 
 The Simis cone of an ideal is cut out by the coordinate halfspaces together
 with one halfspace per minimal vertex cover u of the associated clutter:
 <a, u> >= a_{n+1}.  Its Hilbert basis describes the generators of the
-symbolic blowup; for a perfect graph these are exactly the clique monomials
-x^w t^{|w|-1}.
+symbolic blowup; for a perfect graph these are exactly the clique lifts
+(w, |w|-1), the monomials x^w t^{|w|-1}.  A monomial is its exponent vector.
 """
 
 from dataclasses import dataclass
@@ -26,31 +27,7 @@ from .cones import (Halfspace, HRepPolyhedron, IntegerCone, hilbert_basis,
 from .errors import InputError, spend
 from .linalg import dot
 from .report import THEOREM_PATH, CheckReport
-
-
-@dataclass(frozen=True)
-class MonomialGenerator:
-    """x^a t^b as an exponent vector plus a t-degree."""
-
-    exponents: tuple
-    t_degree: int
-
-    def __post_init__(self):
-        if not any(self.exponents) and self.t_degree == 0:
-            raise InputError("zero monomial generator")
-
-    def __str__(self):
-        parts = []
-        for i, e in enumerate(self.exponents, start=1):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        mono = "".join(parts)
-        if self.t_degree == 0:
-            return mono or "1"
-        t = "t" if self.t_degree == 1 else f"t^{self.t_degree}"
-        return f"{mono} {t}" if mono else t
+from .textio import format_monomial
 
 
 def _validated_ideal(ideal):
@@ -77,25 +54,14 @@ def clutter_of_ideal(ideal):
     return Clutter(n, edges)
 
 
-@dataclass(frozen=True)
-class ReesConeModel:
-    lift_set: tuple      # e_1..e_n then (v_i, 1), the semigroup generators
-    cone: IntegerCone
-
-
-def rees_lift_set(ideal):
-    """e_1..e_n then the lifted ideal generators (v_i, 1): the generators
-    of the Rees algebra's semigroup and of its cone, in R^{n+1}."""
+def rees_cone(ideal):
+    """The Rees cone of a monomial ideal, generated by e_1..e_n then the
+    lifted ideal generators (v_i, 1) in input order: the generators of the
+    Rees algebra's semigroup, in R^{n+1}."""
     ideal = _validated_ideal(ideal)
     n = len(ideal[0])
-    lifts = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
-    return tuple(lifts + [v + (1,) for v in ideal])
-
-
-def rees_cone(ideal):
-    """Cone over the unit vectors and the lifted ideal generators."""
-    lifts = rees_lift_set(ideal)
-    return ReesConeModel(lifts, IntegerCone(len(lifts[0]), lifts))
+    units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
+    return IntegerCone(n + 1, units + [v + (1,) for v in ideal])
 
 
 def is_rees_normal(ideal):
@@ -111,21 +77,19 @@ def is_rees_normal(ideal):
     point of the cone that no combination reaches; its budget is the entry
     sum, the all-ones degree that bounds any combination.
     """
-    lifts = rees_lift_set(ideal)
-    return _normality_report(
-        lifts, hilbert_basis(IntegerCone(len(lifts[0]), lifts)))
+    return _normality_report(hilbert_basis(rees_cone(ideal)))
 
 
-def _normality_report(lifts, hb):
-    """The is_rees_normal report from the lift set and the Hilbert basis
-    of its cone."""
-    outside = hb.first_outside(lifts)
+def _normality_report(hb):
+    """The is_rees_normal report from the Hilbert basis of a Rees cone."""
+    outside = hb.first_outside()
     if outside is not None:
         return CheckReport(
             name="rees-normal", verdict=False, method=THEOREM_PATH,
             witness={"hilbert_basis_element": outside},
             search_bounds={"hb_budget": errors.SEARCH_BUDGET,
                            "budget": sum(outside)})
+    lifts = hb.cone.generators
     certificates = []
     for element in hb.elements:
         i = lifts.index(element)
@@ -167,7 +131,7 @@ def simis_cone(ideal):
 
 
 def rees_hilbert_basis(ideal):
-    return hilbert_basis(rees_cone(ideal).cone)
+    return hilbert_basis(rees_cone(ideal))
 
 
 def simis_hilbert_basis(ideal):
@@ -175,17 +139,14 @@ def simis_hilbert_basis(ideal):
 
 
 def clique_lift_set(G):
-    """(w, |w|-1) for every non-empty clique w of G, as monomials."""
-    out = []
-    for clique in all_cliques(G):
-        out.append(MonomialGenerator(exponents=_exponent(G.n, set(clique)),
-                                     t_degree=len(clique) - 1))
-    return out
+    """The vector (w, |w|-1) of every non-empty clique w of G, in the order
+    of all_cliques."""
+    return [_exponent(G.n, set(c)) + (len(c) - 1,) for c in all_cliques(G)]
 
 
 def symbolic_generators_perfect(G):
-    """Symbolic blowup generators of the edge ideal of a perfect graph: one
-    monomial x^w t^{|w|-1} per non-empty clique w.
+    """Symbolic blowup generators of the edge ideal of a perfect graph: the
+    vector (w, |w|-1) of the monomial x^w t^{|w|-1} per non-empty clique w.
 
     Perfection is verified by the odd hole and antihole search of
     checks.perfect_via_odd_holes; an imperfect graph is rejected, naming
@@ -225,8 +186,8 @@ def ehrhart_equality(ideal):
         raise InputError("no positive x0 with <v_i, x0> = 1 exists")
     x0 = tuple(Fraction(x, total[n]) for x in total[:n])
 
-    lifts = [v + (1,) for v in ideal]
-    outside = hilbert_basis(IntegerCone(n + 1, lifts)).first_outside(lifts)
+    outside = hilbert_basis(
+        IntegerCone(n + 1, [v + (1,) for v in ideal])).first_outside()
     verdict = outside is None
     return CheckReport(
         name="ehrhart-equality", verdict=verdict, method=THEOREM_PATH,
@@ -262,8 +223,6 @@ def gorenstein_check(G, scan_bound=None):
     are those of the point-by-point scan.  The walk raises CapExceededError
     past errors.SEARCH_BUDGET nodes.
     """
-    if G.isolated_vertices():
-        raise InputError("cover-side operations need a graph without isolated vertices")
     n = G.n
     bound = n if scan_bound is None else int(scan_bound)
     if bound < 2:
@@ -276,9 +235,8 @@ def gorenstein_check(G, scan_bound=None):
         return CheckReport(
             name="gorenstein", verdict=None, method=THEOREM_PATH,
             reason="not unmixed", witness={"cover_sizes": cover_sizes})
-    lifts = rees_lift_set(covers)
-    hb = hilbert_basis(IntegerCone(n + 1, lifts))
-    normal = _normality_report(lifts, hb)
+    hb = hilbert_basis(rees_cone(covers))
+    normal = _normality_report(hb)
     if not normal.verdict:
         return CheckReport(
             name="gorenstein", verdict=None, method=THEOREM_PATH,
@@ -389,7 +347,7 @@ def gorenstein_check(G, scan_bound=None):
     return CheckReport(
         name="gorenstein", verdict=True, method=THEOREM_PATH,
         certificate={"canonical_generator":
-                     str(MonomialGenerator((1,) * n, 1)),
+                     format_monomial((1,) * (n + 1)),
                      "interior_points_scanned": scanned,
                      "t_degree_one_layer": "reduces identically"},
         search_bounds={"scan_bound": bound, "box": f"1..{bound}",

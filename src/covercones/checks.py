@@ -12,10 +12,10 @@ disagreement as a failure.
 from dataclasses import replace
 
 from . import errors
-from .blowup import is_rees_normal, rees_lift_set
-from .clutters import (IncidenceMatrix, _exponent, all_cliques,
-                       chordless_cycles, cover_ideal, dual_ideal, edge_clutter,
-                       Graph, incidence_matrix, is_chordal, complement)
+from .blowup import clique_lift_set, is_rees_normal, rees_cone
+from .clutters import (IncidenceMatrix, chordless_cycles, cover_ideal,
+                       dual_ideal, edge_clutter, Graph, incidence_matrix,
+                       is_chordal, complement)
 from .cones import (HRepPolyhedron, Halfspace, IntegerCone, hilbert_basis,
                     is_integral, make_halfspace, orthant, vertices)
 from .errors import InputError
@@ -43,9 +43,7 @@ def clique_halfspaces(G):
     coordinate non-negative) and the singletons (coordinates non-negative)."""
     n = G.n
     out = [make_halfspace(tuple(int(j == n) for j in range(n + 1)))]
-    for clique in all_cliques(G):
-        out.append(make_halfspace(
-            _exponent(n, set(clique)) + (-(len(clique) - 1),)))
+    out += [make_halfspace(w[:n] + (-w[n],)) for w in clique_lift_set(G)]
     return sorted(out)
 
 
@@ -55,10 +53,7 @@ def perfect_via_rees_cone(G):
     ideal is exactly the clique inequality list.  The facets come from one
     double description, bounded by errors.SEARCH_BUDGET ray pairs, and the
     covers and cliques from enumerations bounded by as many nodes."""
-    if G.isolated_vertices():
-        raise InputError("perfection checks need a graph without isolated vertices")
-    lifts = rees_lift_set(cover_ideal(edge_clutter(G)))
-    facets = set(IntegerCone(G.n + 1, lifts).facets)
+    facets = set(rees_cone(cover_ideal(edge_clutter(G))).facets)
     cliques = set(clique_halfspaces(G))
     bounds = {"dd_budget": errors.SEARCH_BUDGET,
               "enumeration_budget": errors.SEARCH_BUDGET}
@@ -123,7 +118,7 @@ def tdi_check(A):
     lifted = [col + (1,) for col in cols]
     lifted += [tuple(-int(i == j) for j in range(n)) + (0,) for i in range(n)]
     hb = hilbert_basis(IntegerCone(n + 1, lifted))
-    lattice_witness = hb.first_outside(lifted)
+    lattice_witness = hb.first_outside()
     integral = perfect_matrix_check(A)
     both = bool(integral.verdict) and lattice_witness is None
     if nonneg_entries:

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -24,7 +25,8 @@ from .clutters import (_exponent, all_cliques, blocker, clique_equalization,
                        minimal_vertex_covers)
 from .errors import CapExceededError, InputError
 from .report import _plain
-from .textio import format_inequality, parse_input, read_labels
+from .textio import (format_inequality, format_monomial, parse_input,
+                     read_labels)
 
 SCHEMA_VERSION = 1
 
@@ -80,10 +82,6 @@ def _subset(doc, vertices):
     return [doc.labels[v - 1] for v in vertices]
 
 
-def _monomial(vec):
-    return str(blowup.MonomialGenerator(tuple(vec[:-1]), vec[-1]))
-
-
 def data(name, value):
     return {"type": "data", "name": name, "value": _plain(value)}
 
@@ -106,11 +104,11 @@ def _cmd_check_perfect(doc, cfg):
 
 def _cmd_rees_cone(doc, cfg):
     ideal, origin = _cover_side_ideal(doc)
-    model = blowup.rees_cone(ideal)
+    cone = blowup.rees_cone(ideal)
     return [
         data("ideal", {"origin": origin, "generators": ideal}),
-        data("lift_set", model.lift_set),
-        data("facets", [format_inequality(h) for h in model.cone.facets]),
+        data("lift_set", cone.generators),
+        data("facets", [format_inequality(h) for h in cone.facets]),
     ], NO_VERDICT
 
 
@@ -137,7 +135,7 @@ def _cmd_hilbert_basis(doc, cfg):
         hb = blowup.simis_hilbert_basis(ideal)
     return [
         data("ideal", {"origin": origin, "generators": ideal}),
-        data("hilbert_basis", [{"vector": e, "monomial": _monomial(e)}
+        data("hilbert_basis", [{"vector": e, "monomial": format_monomial(e)}
                                for e in hb.elements]),
     ], NO_VERDICT
 
@@ -159,7 +157,7 @@ def _cmd_symbolic_gens(doc, cfg):
     G = _doc_graph(doc)
     gens = blowup.symbolic_generators_perfect(G)
     return [data("perfection", "verified-perfect"),
-            data("generators", [str(m) for m in gens])], NO_VERDICT
+            data("generators", [format_monomial(w) for w in gens])], NO_VERDICT
 
 
 def _cmd_check_tdi(doc, cfg):
@@ -369,10 +367,14 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"error: internal consistency failure: {exc}", file=sys.stderr)
         return 4
-    if args.json:
-        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-    else:
-        _print_pretty(report, sys.stdout)
+    try:
+        if args.json:
+            sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+        else:
+            _print_pretty(report, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:     # no reader: quiet the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code
 
 

@@ -506,12 +506,12 @@ class HilbertBasis:
     elements: tuple
     cone: IntegerCone
 
-    def first_outside(self, generators):
-        """The first basis element that is not among the generators, or
-        None.  An irreducible element is a combination of the generators
+    def first_outside(self):
+        """The first basis element that is not among the cone's generators,
+        or None.  An irreducible element is a combination of the generators
         only when it is one of them, so None means they span the cone's
         lattice points."""
-        generators = set(generators)
+        generators = set(self.cone.generators)
         return next((e for e in self.elements if e not in generators), None)
 
 

@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 THEOREM_PATH = "theorem-path"
-ORACLE = "oracle"
 
 
 @dataclass(frozen=True)

@@ -262,3 +262,15 @@ def format_inequality(halfspace):
     if rhs:
         right.append(str(rhs))
     return f"{' + '.join(left) or '0'} >= {' + '.join(right) or '0'}"
+
+
+def format_monomial(vector):
+    """The lattice point (a, b) as the monomial x^a t^b: (2, 0, 1, 3)
+    prints as 'x1^2x3 t^3', and the origin as '1'."""
+    *exponents, degree = vector
+    mono = "".join(f"x{i}" if e == 1 else f"x{i}^{e}"
+                   for i, e in enumerate(exponents, start=1) if e)
+    if not degree:
+        return mono or "1"
+    t = "t" if degree == 1 else f"t^{degree}"
+    return f"{mono} {t}" if mono else t

@@ -36,10 +36,10 @@ from covercones.clutters import _exponent
 from covercones.cones import _dd_pair, homogenized_rays
 from covercones.errors import spend
 from covercones.linalg import dot, gcd_vec, primitive
-from covercones.report import ORACLE
 
 from simplex import EQ, GE, LE, OPTIMAL, LinearProgram, make_lp, solve
 
+ORACLE = "oracle"      # the method label of the reports made here
 PERFECTION_ORACLE_CAP = 9
 
 
@@ -510,7 +510,7 @@ def gorenstein_box_scan(G, bound):
     t-entry) that it violates.  The reference for the facet bound walk of
     gorenstein_check, whose preconditions it does not test."""
     n = G.n
-    cone = rees_cone(cover_ideal(edge_clutter(G))).cone
+    cone = rees_cone(cover_ideal(edge_clutter(G)))
     ones = tuple([1] * (n + 1))
     facets = sorted(cone.facets, key=lambda h: h.normal[-1])
     rows = [(h.normal, dot(h.normal, ones)) for h in facets]

@@ -100,8 +100,7 @@ def test_clique_inequalities_are_exactly_the_facets_for_perfect_graphs():
     with criterion("facets of perfect cover cones are the clique inequalities"):
         _, perfect = corpus()
         for G in perfect:
-            model = rees_cone(cover_ideal(edge_clutter(G)))
-            facets = set(model.cone.facets)
+            facets = set(rees_cone(cover_ideal(edge_clutter(G))).facets)
             cliques = set(clique_halfspaces(G))
             assert facets == cliques, G
 
@@ -112,7 +111,7 @@ def test_simis_basis_is_the_clique_set_for_perfect_graphs():
         _, perfect = corpus()
         for G in perfect:
             hb = simis_hilbert_basis(edge_ideal(G))
-            cliques = {m.exponents + (m.t_degree,) for m in clique_lift_set(G)}
+            cliques = set(clique_lift_set(G))
             assert set(hb.elements) == cliques, G
         # complete graphs: every square-free monomial, t-degree = degree - 1
         for n in range(2, 6):
@@ -130,7 +129,7 @@ def test_simis_basis_is_the_clique_set_for_perfect_graphs():
             if G in perfect:
                 continue
             hb = set(simis_hilbert_basis(edge_ideal(G)).elements)
-            cliques = {m.exponents + (m.t_degree,) for m in clique_lift_set(G)}
+            cliques = set(clique_lift_set(G))
             assert cliques <= hb, G
             strict_seen = strict_seen or cliques < hb
         assert strict_seen  # the pentagon at least
@@ -145,10 +144,10 @@ def test_cover_ideals_of_perfect_graphs_are_normal():
             assert report.verdict is True, G
             memberships = report.certificate["memberships"]
             assert len(memberships) == report.certificate["hilbert_basis_size"]
-            model = rees_cone(cover_ideal(edge_clutter(G)))
+            cone = rees_cone(cover_ideal(edge_clutter(G)))
             for entry in memberships:
-                combo = [0] * (model.cone.dim)
-                for coeff, gen in zip(entry["coefficients"], model.lift_set):
+                combo = [0] * cone.dim
+                for coeff, gen in zip(entry["coefficients"], cone.generators):
                     for i, x in enumerate(gen):
                         combo[i] += coeff * x
                 assert tuple(combo) == tuple(entry["element"])

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import covercones
 from covercones.cli import COMMANDS, _doc_columns, main
 from covercones.textio import (ParseError, format_inequality, parse_input,
                                read_labels)
@@ -435,6 +440,32 @@ def test_gorenstein_and_cm2_commands(write, capsys):
     assert report["results"][0]["search_bounds"]["scan_bound"] == 3
     code, report = run_json(capsys, ["check-cm2-normal", c4])
     assert code == 0 and report["primary_verdict"] is True
+
+
+@pytest.mark.parametrize("command", ["check-perfect", "check-gorenstein"])
+def test_graph_with_an_isolated_vertex_is_answered(write, capsys, command):
+    path = write("iso.graph", "graph { 1-2 2-3 3-1 5-6 }\n")
+    code, report = run_json(capsys, [command, path, "--assert", "true"])
+    assert code == 0 and report["primary_verdict"] is True
+
+
+@pytest.mark.parametrize("argv, text, expected", [
+    (["covers", "-", "--json"], "graph { a-b b-c }\n", 0),
+    (["check-perfect", "-", "--assert", "false"], "graph { a-b b-c c-a }\n",
+     1),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, text, expected):
+    # the read end of the pipe is closed before the command writes, so its
+    # report meets a broken pipe instead of a reader
+    src = str(Path(covercones.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covercones.cli", *argv],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    _, err = proc.communicate(text.encode())
+    assert proc.returncode == expected
+    assert b"Traceback" not in err and err == b""
 
 
 def test_labels_are_used_in_rendering(write, capsys):

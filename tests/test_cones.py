@@ -142,7 +142,7 @@ def test_extreme_rays_skip_the_reduction():
         edge_ideal = [tuple(int(v in e) for v in range(1, G.n + 1))
                       for e in G.edges]
         cones.append(simis_cone(edge_ideal).cone)
-        cones.append(rees_cone(cover_ideal(edge_clutter(G))).cone)
+        cones.append(rees_cone(cover_ideal(edge_clutter(G))))
     reduced = 0
     for cone in cones:
         elements = hilbert_basis(cone).elements
@@ -179,7 +179,7 @@ def test_triangulation_of_cycle_cones():
         edge_ideal = [tuple(int(v in e) for v in range(1, k + 1))
                       for e in G.edges]
         cones = (simis_cone(edge_ideal).cone,
-                 rees_cone(cover_ideal(edge_clutter(G))).cone)
+                 rees_cone(cover_ideal(edge_clutter(G))))
         for cone, count in zip(cones, counts):
             rays = cone.extreme_rays()
             pieces = [S for S, _ in _triangulate(cone)]
@@ -235,7 +235,7 @@ def test_triangulation_volume_bounds_are_multiples_of_the_volume():
         edge_ideal = [tuple(int(v in e) for v in range(1, G.n + 1))
                       for e in G.edges]
         cones.append(simis_cone(edge_ideal).cone)
-        cones.append(rees_cone(cover_ideal(edge_clutter(G))).cone)
+        cones.append(rees_cone(cover_ideal(edge_clutter(G))))
     seen = dict.fromkeys(("square", "lower", "bound above 1"), 0)
     for cone in cones:
         rank = rank_int(cone.generators)
